@@ -107,11 +107,15 @@ void BM_RtmDecide(benchmark::State& state) {
 BENCHMARK(BM_RtmDecide);
 
 void BM_ClusterEpoch(benchmark::State& state) {
+  // The engine's call: run_epoch_into against one reused scratch.
   auto platform = hw::Platform::odroid_xu3_a15();
   const std::vector<common::Cycles> work{30000000, 31000000, 29000000,
                                          30000000};
+  hw::EpochScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(platform->cluster().run_epoch(work, 0.040));
+    platform->cluster().run_epoch_into(work.data(), work.size(), 0.040, 0.0,
+                                       1.0e9, scratch);
+    benchmark::DoNotOptimize(scratch.energy);
   }
 }
 BENCHMARK(BM_ClusterEpoch);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +10,7 @@
 #include "sim/bintrace.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/dashboard.hpp"
+#include "sim/epoch_step.hpp"
 #include "sim/placement.hpp"
 #include "sim/telemetry.hpp"
 
@@ -99,6 +99,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         "run_simulation: warm_start_from and resume_from are mutually "
         "exclusive — a resume already restores the learned state");
   }
+  if (options.block_frames == 0) {
+    throw std::invalid_argument(
+        "run_simulation: RunOptions::block_frames must be at least 1");
+  }
   const std::size_t domains = platform.domain_count();
   if (domains > 1 &&
       (!options.resume_from.empty() || !options.checkpoint_path.empty())) {
@@ -110,6 +114,9 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         "multi-domain platforms (" +
         std::to_string(domains) + " DVFS domains configured)");
   }
+  // Every board resolves its placement — a single domain's is the identity —
+  // so an unknown name fails before any state is touched.
+  const Placement place = make_placement(options.placement, platform, &app);
   // Resume first: the restored state supersedes the reset_* flags (resetting
   // after loading would discard exactly the state the caller asked to keep).
   std::optional<Checkpoint> resume;
@@ -189,7 +196,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     }
   }
 
-  hw::Cluster& cluster = platform.cluster();
   const hw::OppTable& opps = platform.opp_table();
   auto* clairvoyant = dynamic_cast<gov::Clairvoyant*>(&governor);
 
@@ -231,8 +237,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   ctx.application = app.name();
   ctx.frames = frames - start;
 
-  std::optional<gov::EpochObservation> last;
-  if (resume && resume->has_last) last = resume->last;
+  // One pending observation per domain; the checkpoint format carries one,
+  // which is why checkpointing is single-domain only (last[0]).
+  std::vector<std::optional<gov::EpochObservation>> last(domains);
+  if (resume && resume->has_last) last[0] = resume->last;
 
   // Checkpoint sinks: the engine owns the *what* (a full-state snapshot over
   // the live loop variables), the sinks own the *when* (their epoch cadence).
@@ -259,8 +267,8 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     // its epoch count *is* the absolute frame position.
     ck.frame_position = result.epoch_count;
     ck.aggregates = result;
-    ck.has_last = last.has_value();
-    if (last) ck.last = *last;
+    ck.has_last = last[0].has_value();
+    if (last[0]) ck.last = *last[0];
     std::ostringstream governor_state;
     governor.save_state(governor_state);
     ck.governor_state = governor_state.str();
@@ -371,300 +379,127 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
 
   RunEmitter emitter(result, sinks, ctx);
 
-  // Batch scratch state lives at function scope, not inside the batched
-  // branch: `last` may hold a CycleSpan view into scratch.core_cycles, and
-  // the final checkpoint snapshot (emitter.finish -> on_run_end) deep-copies
-  // that observation after the loop — the viewed storage must still be alive.
+  // The step's per-domain scratch lives at function scope: the pending
+  // observations hold CycleSpan views into it, and the final checkpoint
+  // snapshot (emitter.finish -> on_run_end) deep-copies last[0] after the
+  // loop — the viewed storage must still be alive.
+  EpochStep step(platform);
   wl::FrameBlock block;
-  hw::EpochScratch scratch;
 
-  if (domains > 1) {
-    // Multi-domain path: the placement layer maps the frame's work slots onto
-    // (domain, local core) pairs once up front; each epoch then runs one
-    // decision + one run_epoch_into per domain, and the per-domain outcomes
-    // combine into a single EpochRecord (the frame completes when the slowest
-    // domain does). Always batched — single-domain runs never reach here, so
-    // the historical paths below stay bit-identical.
-    const Placement place = make_placement(options.placement, platform, &app);
-    const std::size_t total = platform.total_cores();
-    std::vector<std::size_t> dcores(domains);
-    std::vector<std::vector<common::Cycles>> dwork(domains);
-    std::vector<hw::EpochScratch> dscratch(domains);
-    std::vector<std::optional<gov::EpochObservation>> dlast(domains);
-    for (std::size_t d = 0; d < domains; ++d) {
-      dcores[d] = platform.domain(d).core_count();
-      dwork[d].resize(dcores[d]);
-    }
-    const std::size_t block_frames =
-        std::max<std::size_t>(1, options.block_frames);
-    EpochRecord rec;
-    for (std::size_t i = start; i < frames;) {
-      const std::size_t n = std::min(block_frames, frames - i);
-      app.fill_block(i, n, total, block);
-      for (std::size_t b = 0; b < n; ++b, ++i) {
-        const common::Seconds period = block.periods[b];
-        common::Cycles* row = block.row(b);
-        const common::Cycles demand = block.demand[b];
+  // The placement maps the frame's work slots onto (domain, local core)
+  // pairs. The identity placement (every single-domain board) hands each
+  // block row straight to domain 0; any other scatters into the step's
+  // per-domain buffers.
+  const bool identity = place.identity();
+  const std::size_t total = platform.total_cores();
+  std::vector<common::Cycles*> work(domains);
+  std::vector<hw::Cluster*> clusters(domains);
+  for (std::size_t d = 0; d < domains; ++d) {
+    work[d] = step.buffer(d);
+    clusters[d] = &platform.domain(d);
+  }
+  // The governor's own processing runs where slot 0 was placed — the core
+  // hosting the first worker.
+  const std::size_t ovh_domain = total == 0 ? 0 : place.slot_domain[0];
+  const std::size_t ovh_local = total == 0 ? 0 : place.slot_local[0];
 
-        if (clairvoyant != nullptr) {
-          gov::FramePreview preview;
-          preview.max_core_cycles =
-              total == 0 ? 0 : *std::max_element(row, row + total);
-          preview.total_cycles = demand;
-          preview.mem_fraction = block.mem_fraction;
-          clairvoyant->preview_next_frame(preview);
-        }
-
-        // Scatter the frame's work slots onto their physical cores.
-        for (std::size_t d = 0; d < domains; ++d) {
-          std::fill(dwork[d].begin(), dwork[d].end(), common::Cycles{0});
-        }
-        for (std::size_t j = 0; j < total; ++j) {
-          dwork[place.slot_domain[j]][place.slot_local[j]] += row[j];
-        }
-
-        // One decision per domain (shared governor instance: learning state
-        // interleaves the per-domain observation streams).
-        for (std::size_t d = 0; d < domains; ++d) {
-          gov::DecisionContext dctx;
-          dctx.epoch = i;
-          dctx.period = period;
-          dctx.cores = dcores[d];
-          dctx.opps = &opps;
-          dctx.domain = d;
-          dctx.domains = domains;
-          platform.domain(d).set_opp(governor.decide(dctx, dlast[d]));
-        }
-
-        // T_OVH executes where slot 0 was placed, at that domain's chosen
-        // frequency — the RTM runs on the core hosting the first worker.
-        const common::Seconds ovh = governor.epoch_overhead();
-        if (total != 0 && ovh > 0.0) {
-          const std::size_t hd = place.slot_domain[0];
-          dwork[hd][place.slot_local[0]] += common::cycles_at(
-              platform.domain(hd).current_opp().frequency, ovh);
-        }
-
-        // Execute every domain's epoch and combine: frame time / window /
-        // temperature take the max, energy and cycles sum, and the OPP
-        // reported for the epoch is the bottleneck domain's (largest frame
-        // time, lowest index on ties).
-        common::Seconds frame_time = 0.0;
-        common::Seconds window = 0.0;
-        common::Joule energy = 0.0;
-        common::Cycles executed = 0;
-        common::Celsius temperature = 0.0;
-        std::size_t bottleneck = 0;
-        for (std::size_t d = 0; d < domains; ++d) {
-          hw::EpochScratch& sc = dscratch[d];
-          platform.domain(d).run_epoch_into(dwork[d].data(), dcores[d], period,
-                                            block.mem_fraction, 1.0e9, sc);
-          if (sc.frame_time > frame_time) {
-            frame_time = sc.frame_time;
-            bottleneck = d;
-          }
-          window = std::max(window, sc.window);
-          temperature = std::max(temperature, sc.temperature);
-          energy += sc.energy;
-          executed += std::accumulate(sc.core_cycles.begin(),
-                                      sc.core_cycles.end(), common::Cycles{0});
-        }
-
-        // One board-level sensor reading over the combined epoch: total
-        // energy spread over the longest domain window.
-        const common::Watt avg_power = window > 0.0 ? energy / window : 0.0;
-        const common::Watt reading =
-            platform.power_sensor().integrate(avg_power, window);
-
-        rec.epoch = i;
-        rec.period = period;
-        rec.opp_index = platform.domain(bottleneck).current_opp_index();
-        rec.frequency = platform.domain(bottleneck).current_opp().frequency;
-        rec.demand = demand;
-        rec.executed = executed;
-        rec.frame_time = frame_time;
-        rec.window = window;
-        rec.energy = energy;
-        rec.sensor_power = reading;
-        rec.temperature = temperature;
-        rec.slack = period > 0.0 ? (period - frame_time) / period : 0.0;
-        rec.deadline_met = frame_time <= period;
-
-        // Per-domain feedback: each domain's next decision sees its own
-        // frame time, cycles and deadline outcome, with the board reading
-        // attributed by energy share (every domain shares one sensor).
-        for (std::size_t d = 0; d < domains; ++d) {
-          hw::EpochScratch& sc = dscratch[d];
-          if (!dlast[d]) dlast[d].emplace();
-          gov::EpochObservation& obs = *dlast[d];
-          obs.epoch = i;
-          obs.period = period;
-          obs.frame_time = sc.frame_time;
-          obs.window = sc.window;
-          obs.total_cycles =
-              std::accumulate(sc.core_cycles.begin(), sc.core_cycles.end(),
-                              common::Cycles{0});
-          obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
-          obs.opp_index = platform.domain(d).current_opp_index();
-          obs.avg_power = energy > 0.0
-                              ? reading * (sc.energy / energy)
-                              : reading / static_cast<double>(domains);
-          obs.temperature = sc.temperature;
-          obs.deadline_met = sc.deadline_met;
-        }
-
-        emitter.emit(rec, governor);
-      }
-    }
-  } else if (options.block_frames == 0) {
-    // Per-frame reference path: the pre-batching loop, kept verbatim as the
-    // differential baseline the batched path below is pinned against.
-    for (std::size_t i = start; i < frames; ++i) {
-      const common::Seconds period = app.deadline_at(i);
-      std::vector<common::Cycles> work =
-          app.core_work(i, cluster.core_count());
-      const common::Cycles demand =
-          std::accumulate(work.begin(), work.end(), common::Cycles{0});
+  // Everything observable stays per-epoch — decisions, emission (and with it
+  // checkpoint cadence) — so the block size can never shift a snapshot or a
+  // record; prefetching frames only moves the stream's replay cursor, which
+  // resume re-derives from the frame position anyway.
+  EpochRecord rec;
+  for (std::size_t i = start; i < frames;) {
+    const std::size_t n = std::min(options.block_frames, frames - i);
+    app.fill_block(i, n, total, block);
+    for (std::size_t b = 0; b < n; ++b, ++i) {
+      const common::Seconds period = block.periods[b];
+      common::Cycles* row = block.row(b);
+      const common::Cycles demand = block.demand[b];
 
       if (clairvoyant != nullptr) {
         gov::FramePreview preview;
         preview.max_core_cycles =
-            work.empty() ? 0 : *std::max_element(work.begin(), work.end());
+            total == 0 ? 0 : *std::max_element(row, row + total);
         preview.total_cycles = demand;
-        preview.mem_fraction = app.mem_fraction();
+        preview.mem_fraction = block.mem_fraction;
         clairvoyant->preview_next_frame(preview);
       }
 
-      gov::DecisionContext dctx;
-      dctx.epoch = i;
-      dctx.period = period;
-      dctx.cores = cluster.core_count();
-      dctx.opps = &opps;
-      const std::size_t action = governor.decide(dctx, last);
-      cluster.set_opp(action);
-
-      // The governor's processing overhead executes as cycles on core 0 at the
-      // chosen frequency, consuming both time and energy (T_OVH, Section III-D).
-      const common::Seconds ovh = governor.epoch_overhead();
-      if (!work.empty() && ovh > 0.0) {
-        work[0] += common::cycles_at(cluster.current_opp().frequency, ovh);
+      if (identity) {
+        work[0] = row;
+      } else {
+        step.clear();
+        for (std::size_t j = 0; j < total; ++j) {
+          work[place.slot_domain[j]][place.slot_local[j]] += row[j];
+        }
       }
 
-      const hw::ClusterEpochResult epoch =
-          cluster.run_epoch(work, period, app.mem_fraction());
-      const common::Watt reading =
-          platform.power_sensor().integrate(epoch.avg_power, epoch.window);
-
-      EpochRecord rec;
-      rec.epoch = i;
-      rec.period = period;
-      rec.opp_index = cluster.current_opp_index();
-      rec.frequency = cluster.current_opp().frequency;
-      rec.demand = demand;
-      rec.executed =
-          std::accumulate(epoch.core_cycles.begin(), epoch.core_cycles.end(),
-                          common::Cycles{0});
-      rec.frame_time = epoch.frame_time;
-      rec.window = epoch.window;
-      rec.energy = epoch.energy;
-      rec.sensor_power = reading;
-      rec.temperature = epoch.temperature;
-      rec.slack = period > 0.0 ? (period - epoch.frame_time) / period : 0.0;
-      rec.deadline_met = epoch.deadline_met;
-
-      gov::EpochObservation obs;
-      obs.epoch = i;
-      obs.period = period;
-      obs.frame_time = epoch.frame_time;
-      obs.window = epoch.window;
-      obs.total_cycles = rec.executed;
-      obs.core_cycles = epoch.core_cycles;
-      obs.opp_index = rec.opp_index;
-      obs.avg_power = reading;
-      obs.temperature = epoch.temperature;
-      obs.deadline_met = epoch.deadline_met;
-      last = std::move(obs);
-
-      emitter.emit(rec, governor);
-    }
-  } else {
-    // Batched zero-allocation path: pull frames in FrameBlock batches and
-    // execute each epoch against one long-lived EpochScratch, reusing one
-    // EpochRecord and one EpochObservation. Everything observable stays
-    // per-epoch — decisions, emission (and with it checkpoint cadence) — so
-    // the block size can never shift a snapshot or a record; prefetching
-    // frames only moves the stream's replay cursor, which resume re-derives
-    // from the frame position anyway.
-    const std::size_t cores = cluster.core_count();
-    EpochRecord rec;
-    for (std::size_t i = start; i < frames;) {
-      const std::size_t n = std::min(options.block_frames, frames - i);
-      app.fill_block(i, n, cores, block);
-      for (std::size_t b = 0; b < n; ++b, ++i) {
-        const common::Seconds period = block.periods[b];
-        common::Cycles* row = block.row(b);
-        const common::Cycles demand = block.demand[b];
-
-        if (clairvoyant != nullptr) {
-          gov::FramePreview preview;
-          preview.max_core_cycles =
-              cores == 0 ? 0 : *std::max_element(row, row + cores);
-          preview.total_cycles = demand;
-          preview.mem_fraction = block.mem_fraction;
-          clairvoyant->preview_next_frame(preview);
-        }
-
+      // One decision per domain (shared governor instance: learning state
+      // interleaves the per-domain observation streams).
+      for (std::size_t d = 0; d < domains; ++d) {
         gov::DecisionContext dctx;
         dctx.epoch = i;
         dctx.period = period;
-        dctx.cores = cores;
+        dctx.cores = clusters[d]->core_count();
         dctx.opps = &opps;
-        const std::size_t action = governor.decide(dctx, last);
-        cluster.set_opp(action);
+        dctx.domain = d;
+        dctx.domains = domains;
+        clusters[d]->set_opp(governor.decide(dctx, last[d]));
+      }
 
-        const common::Seconds ovh = governor.epoch_overhead();
-        if (cores != 0 && ovh > 0.0) {
-          row[0] += common::cycles_at(cluster.current_opp().frequency, ovh);
-        }
+      // The governor's processing overhead executes as cycles on that core at
+      // its domain's chosen frequency, consuming both time and energy (T_OVH,
+      // Section III-D).
+      const common::Seconds ovh = governor.epoch_overhead();
+      if (total != 0 && ovh > 0.0) {
+        work[ovh_domain][ovh_local] += common::cycles_at(
+            clusters[ovh_domain]->current_opp().frequency, ovh);
+      }
 
-        cluster.run_epoch_into(row, cores, period, block.mem_fraction, 1.0e9,
-                               scratch);
-        const common::Watt reading = platform.power_sensor().integrate(
-            scratch.avg_power, scratch.window);
+      const BoardEpoch& epoch = step.run(work.data(), period,
+                                         block.mem_fraction);
+      const hw::Cluster& bottleneck = *clusters[epoch.bottleneck];
 
-        rec.epoch = i;
-        rec.period = period;
-        rec.opp_index = cluster.current_opp_index();
-        rec.frequency = cluster.current_opp().frequency;
-        rec.demand = demand;
-        rec.executed = std::accumulate(scratch.core_cycles.begin(),
-                                       scratch.core_cycles.end(),
-                                       common::Cycles{0});
-        rec.frame_time = scratch.frame_time;
-        rec.window = scratch.window;
-        rec.energy = scratch.energy;
-        rec.sensor_power = reading;
-        rec.temperature = scratch.temperature;
-        rec.slack =
-            period > 0.0 ? (period - scratch.frame_time) / period : 0.0;
-        rec.deadline_met = scratch.deadline_met;
+      rec.epoch = i;
+      rec.period = period;
+      rec.opp_index = bottleneck.current_opp_index();
+      rec.frequency = bottleneck.current_opp().frequency;
+      rec.demand = demand;
+      rec.executed = epoch.executed;
+      rec.frame_time = epoch.frame_time;
+      rec.window = epoch.window;
+      rec.energy = epoch.energy;
+      rec.sensor_power = epoch.reading;
+      rec.temperature = epoch.temperature;
+      rec.slack = period > 0.0 ? (period - epoch.frame_time) / period : 0.0;
+      rec.deadline_met = epoch.frame_time <= period;
 
-        if (!last) last.emplace();
-        gov::EpochObservation& obs = *last;
+      // Per-domain feedback: each domain's next decision sees its own frame
+      // time, cycles and deadline outcome, with the board reading attributed
+      // by energy share (every domain shares one sensor; a lone domain's
+      // share is the whole reading, r * (e / e) == r).
+      for (std::size_t d = 0; d < domains; ++d) {
+        const hw::EpochScratch& sc = step.scratch(d);
+        if (!last[d]) last[d].emplace();
+        gov::EpochObservation& obs = *last[d];
         obs.epoch = i;
         obs.period = period;
-        obs.frame_time = scratch.frame_time;
-        obs.window = scratch.window;
-        obs.total_cycles = rec.executed;
-        obs.core_cycles.bind(scratch.core_cycles.data(),
-                             scratch.core_cycles.size());
-        obs.opp_index = rec.opp_index;
-        obs.avg_power = reading;
-        obs.temperature = scratch.temperature;
-        obs.deadline_met = scratch.deadline_met;
-
-        emitter.emit(rec, governor);
+        obs.frame_time = sc.frame_time;
+        obs.window = sc.window;
+        obs.total_cycles = step.executed(d);
+        obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
+        obs.opp_index = clusters[d]->current_opp_index();
+        obs.avg_power = epoch.reading;
+        if (domains > 1) {
+          obs.avg_power = epoch.energy > 0.0
+                              ? epoch.reading * (sc.energy / epoch.energy)
+                              : epoch.reading / static_cast<double>(domains);
+        }
+        obs.temperature = sc.temperature;
+        obs.deadline_met = sc.deadline_met;
       }
+
+      emitter.emit(rec, governor);
     }
   }
   emitter.finish(platform.power_sensor().measured_energy());

@@ -103,21 +103,18 @@ struct RunOptions {
   bool reset_governor = true;   ///< Reset governor learning before the run.
 
   /// Frames pulled per wl::FrameBlock batch in the zero-allocation hot loop.
-  /// Purely an execution-strategy knob: every block size (and the scalar
-  /// path) produces bit-identical results, records and artifacts — governor
-  /// decisions, telemetry emission and checkpoint cadence all remain
-  /// per-epoch, pinned by the batched-vs-scalar differential tests. 0 selects
-  /// the per-frame reference path (one core_work vector and one
-  /// ClusterEpochResult allocated per frame), kept as the differential
-  /// baseline the batched path is tested against.
+  /// Purely an execution-strategy knob: every block size produces
+  /// bit-identical results, records and artifacts — governor decisions,
+  /// telemetry emission and checkpoint cadence all remain per-epoch, pinned
+  /// by differential tests against a per-frame reference loop. Must be at
+  /// least 1; run_simulation throws std::invalid_argument on 0.
   std::size_t block_frames = 64;
 
   /// Placement policy partitioning the application's work slots across the
   /// platform's DVFS domains ("packed", "spread", "rect" — see
-  /// sim/placement.hpp). Only consulted on multi-domain platforms
-  /// (hw.clusters > 1): a single-domain board has exactly one valid
-  /// placement, and the engine then runs the historical single-cluster path
-  /// bit-identically. Unknown names throw common::UnknownNameError.
+  /// sim/placement.hpp). Resolved on every board; on a single-domain board
+  /// every policy is the identity, so the choice cannot change a bit of the
+  /// result there. Unknown names throw common::UnknownNameError.
   std::string placement = "packed";
 
   // --- Checkpoint/resume (sim/checkpoint.hpp) --------------------------------

@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "sim/epoch_step.hpp"
 #include "sim/telemetry.hpp"
 
 namespace prime::sim {
@@ -85,7 +86,6 @@ MultiAppResult run_multi_simulation(
   platform.reset();
   for (const auto& g : governors) g->reset();
 
-  hw::Cluster& cluster = platform.cluster();
   const hw::OppTable& opps = platform.opp_table();
   const std::size_t n_apps = placements.size();
 
@@ -130,209 +130,33 @@ MultiAppResult run_multi_simulation(
 
   std::vector<std::optional<gov::EpochObservation>> last(n_apps);
 
+  // Placements address the board through global core indices; each app's
+  // request is arbitrated per V-F domain (max among the apps occupying it —
+  // domains hosting no app keep their OPP; on a single-domain board that is
+  // the max over every app), each domain runs its own epoch through the
+  // engine's shared step, and per-app accounting reads the (domain, local)
+  // cores the app owns. Buffers are sized once and reused every frame.
   const std::size_t domains = platform.domain_count();
-  if (domains > 1) {
-    // Multi-domain path: placements address the board through global core
-    // indices; each app's request is arbitrated per V-F domain (max among
-    // the apps occupying it — domains hosting no app keep their OPP), each
-    // domain runs its own epoch, and per-app accounting reads the
-    // (domain, local) cores the app owns. Single-domain boards never reach
-    // here, so the historical loop below stays bit-identical.
-    std::vector<std::size_t> requests(n_apps, 0);
-    std::vector<std::size_t> applied(domains, 0);
-    std::vector<std::size_t> dcores(domains);
-    std::vector<std::vector<common::Cycles>> dwork(domains);
-    std::vector<hw::EpochScratch> dscratch(domains);
-    for (std::size_t d = 0; d < domains; ++d) {
-      dcores[d] = platform.domain(d).core_count();
-      dwork[d].resize(dcores[d]);
-    }
-    std::vector<std::vector<common::Cycles>> app_work(n_apps);
-    std::vector<std::vector<common::Cycles>> app_cycles_buf(n_apps);
-    // Which domains each app occupies (its requests arbitrate only there).
-    std::vector<std::vector<char>> app_in_domain(n_apps);
-    for (std::size_t a = 0; a < n_apps; ++a) {
-      app_work[a].resize(placements[a].cores.size(), 0);
-      app_cycles_buf[a].resize(placements[a].cores.size(), 0);
-      app_in_domain[a].assign(domains, 0);
-      for (const std::size_t c : placements[a].cores) {
-        app_in_domain[a][platform.domain_of_core(c)] = 1;
-      }
-    }
-
-    for (std::size_t i = 0; i < frames; ++i) {
-      // --- Per-app decisions, arbitrated per domain.
-      common::Seconds ovh_total = 0.0;
-      for (std::size_t a = 0; a < n_apps; ++a) {
-        gov::DecisionContext ctx;
-        ctx.epoch = i;
-        ctx.period = placements[a].app->deadline_at(i);
-        ctx.cores = placements[a].cores.size();
-        ctx.opps = &opps;
-        ctx.domain = platform.domain_of_core(placements[a].cores.front());
-        ctx.domains = domains;
-        requests[a] = governors[a]->decide(ctx, last[a]);
-        ovh_total += governors[a]->epoch_overhead();
-      }
-      for (std::size_t d = 0; d < domains; ++d) {
-        bool any = false;
-        std::size_t req = 0;
-        for (std::size_t a = 0; a < n_apps; ++a) {
-          if (!app_in_domain[a][d]) continue;
-          req = any ? std::max(req, requests[a]) : requests[a];
-          any = true;
-        }
-        if (any) platform.domain(d).set_opp(req);
-        applied[d] = platform.domain(d).current_opp_index();
-      }
-
-      // --- Assemble per-domain work vectors.
-      for (std::size_t d = 0; d < domains; ++d) {
-        std::fill(dwork[d].begin(), dwork[d].end(), common::Cycles{0});
-      }
-      double mem_weighted = 0.0;
-      double demand_total = 0.0;
-      for (std::size_t a = 0; a < n_apps; ++a) {
-        placements[a].app->core_work_into(i, placements[a].cores.size(),
-                                          app_work[a].data());
-        for (std::size_t j = 0; j < placements[a].cores.size(); ++j) {
-          const std::size_t c = placements[a].cores[j];
-          dwork[platform.domain_of_core(c)][platform.local_of_core(c)] =
-              app_work[a][j];
-        }
-        const double d = static_cast<double>(
-            std::accumulate(app_work[a].begin(), app_work[a].end(),
-                            common::Cycles{0}));
-        mem_weighted += placements[a].app->mem_fraction() * d;
-        demand_total += d;
-      }
-      const double mem_fraction =
-          demand_total > 0.0 ? mem_weighted / demand_total : 0.0;
-
-      // All governors' processing runs on the first app's first core, at
-      // that core's domain frequency.
-      if (!placements.front().cores.empty() && ovh_total > 0.0) {
-        const std::size_t c0 = placements.front().cores.front();
-        const std::size_t hd = platform.domain_of_core(c0);
-        dwork[hd][platform.local_of_core(c0)] += common::cycles_at(
-            platform.domain(hd).current_opp().frequency, ovh_total);
-      }
-
-      // --- Execute every domain's epoch; board-level quantities combine as
-      // in the single-app engine (windows/temperatures max, energy sums, one
-      // sensor reading over the combined epoch).
-      const common::Seconds period = placements.front().app->deadline_at(i);
-      common::Seconds window = 0.0;
-      common::Joule energy = 0.0;
-      common::Celsius temperature = 0.0;
-      common::Cycles executed_total = 0;
-      for (std::size_t d = 0; d < domains; ++d) {
-        platform.domain(d).run_epoch_into(dwork[d].data(), dcores[d], period,
-                                          mem_fraction, 1.0e9, dscratch[d]);
-        window = std::max(window, dscratch[d].window);
-        temperature = std::max(temperature, dscratch[d].temperature);
-        energy += dscratch[d].energy;
-        executed_total +=
-            std::accumulate(dscratch[d].core_cycles.begin(),
-                            dscratch[d].core_cycles.end(), common::Cycles{0});
-      }
-      const common::Watt avg_power = window > 0.0 ? energy / window : 0.0;
-      const common::Watt reading =
-          platform.power_sensor().integrate(avg_power, window);
-
-      result.total_energy += energy;
-      result.total_time += window;
-
-      // --- Per-app accounting and observations.
-      for (std::size_t a = 0; a < n_apps; ++a) {
-        const auto& p = placements[a];
-        common::Seconds app_frame_time = 0.0;
-        common::Cycles app_cycles = 0;
-        for (std::size_t j = 0; j < p.cores.size(); ++j) {
-          const std::size_t c = p.cores[j];
-          const std::size_t d = platform.domain_of_core(c);
-          const std::size_t l = platform.local_of_core(c);
-          // Each core's completion includes its own domain's DVFS stall.
-          app_frame_time = std::max(
-              app_frame_time, dscratch[d].core_busy[l] + dscratch[d].dvfs_stall);
-          app_cycles += dscratch[d].core_cycles[l];
-          app_cycles_buf[a][j] = dscratch[d].core_cycles[l];
-        }
-        const common::Seconds app_period = p.app->deadline_at(i);
-        const bool met = app_frame_time <= app_period;
-        const double share =
-            executed_total == 0 ? 0.0
-                                : static_cast<double>(app_cycles) /
-                                      static_cast<double>(executed_total);
-        const std::size_t home = platform.domain_of_core(p.cores.front());
-
-        EpochRecord rec;
-        rec.epoch = i;
-        rec.period = app_period;
-        rec.opp_index = applied[home];
-        rec.frequency = platform.domain(home).current_opp().frequency;
-        rec.demand = app_cycles;
-        rec.executed = app_cycles;
-        rec.frame_time = app_frame_time;
-        rec.window = window;
-        rec.energy = energy * share;
-        rec.sensor_power = reading * share;
-        rec.temperature = temperature;
-        rec.slack = app_period > 0.0
-                        ? (app_period - app_frame_time) / app_period
-                        : 0.0;
-        rec.deadline_met = met;
-
-        // Overridden when any domain the app occupies ran faster than its
-        // own request (it was dragged faster by a co-runner there).
-        for (std::size_t d = 0; d < domains; ++d) {
-          if (app_in_domain[a][d] && requests[a] < applied[d]) {
-            ++result.overridden_epochs[a];
-            break;
-          }
-        }
-
-        if (!last[a]) last[a].emplace();
-        gov::EpochObservation& obs = *last[a];
-        obs.epoch = i;
-        obs.period = app_period;
-        obs.frame_time = app_frame_time;
-        obs.window = window;
-        obs.total_cycles = app_cycles;
-        obs.core_cycles.bind(app_cycles_buf[a].data(),
-                             app_cycles_buf[a].size());
-        obs.opp_index = rec.opp_index;
-        obs.avg_power = rec.sensor_power;
-        obs.temperature = temperature;
-        obs.deadline_met = met;
-
-        emitters[a].emit(rec, *governors[a]);
-      }
-    }
-    for (std::size_t a = 0; a < n_apps; ++a) {
-      // Per-app share of sensor energy.
-      emitters[a].finish(result.per_app[a].total_energy);
-    }
-    return result;
-  }
-
-  // Scratch buffers hoisted out of the frame loop (the same zero-allocation
-  // epoch path the single-app engine batches through): the combined work
-  // vector, per-app split buffers, per-app observation cycle buffers and one
-  // EpochScratch are sized once and reused every frame.
+  EpochStep step(platform);
+  std::vector<common::Cycles*> work(domains);
+  for (std::size_t d = 0; d < domains; ++d) work[d] = step.buffer(d);
   std::vector<std::size_t> requests(n_apps, 0);
-  std::vector<common::Cycles> work(cluster.core_count(), 0);
+  std::vector<std::size_t> applied(domains, 0);
   std::vector<std::vector<common::Cycles>> app_work(n_apps);
   std::vector<std::vector<common::Cycles>> app_cycles_buf(n_apps);
+  // Which domains each app occupies (its requests arbitrate only there).
+  std::vector<std::vector<char>> app_in_domain(n_apps);
   for (std::size_t a = 0; a < n_apps; ++a) {
     app_work[a].resize(placements[a].cores.size(), 0);
     app_cycles_buf[a].resize(placements[a].cores.size(), 0);
+    app_in_domain[a].assign(domains, 0);
+    for (const std::size_t c : placements[a].cores) {
+      app_in_domain[a][platform.domain_of_core(c)] = 1;
+    }
   }
-  hw::EpochScratch scratch;
 
   for (std::size_t i = 0; i < frames; ++i) {
-    // --- Per-app decisions, arbitrated by max (shared V-F rail).
-    std::size_t applied = 0;
+    // --- Per-app decisions, arbitrated per domain.
     common::Seconds ovh_total = 0.0;
     for (std::size_t a = 0; a < n_apps; ++a) {
       gov::DecisionContext ctx;
@@ -340,88 +164,105 @@ MultiAppResult run_multi_simulation(
       ctx.period = placements[a].app->deadline_at(i);
       ctx.cores = placements[a].cores.size();
       ctx.opps = &opps;
+      ctx.domain = platform.domain_of_core(placements[a].cores.front());
+      ctx.domains = domains;
       requests[a] = governors[a]->decide(ctx, last[a]);
-      applied = std::max(applied, requests[a]);
       ovh_total += governors[a]->epoch_overhead();
     }
-    cluster.set_opp(applied);
+    for (std::size_t d = 0; d < domains; ++d) {
+      bool any = false;
+      std::size_t req = 0;
+      for (std::size_t a = 0; a < n_apps; ++a) {
+        if (!app_in_domain[a][d]) continue;
+        req = any ? std::max(req, requests[a]) : requests[a];
+        any = true;
+      }
+      if (any) platform.domain(d).set_opp(req);
+      applied[d] = platform.domain(d).current_opp_index();
+    }
 
-    // --- Assemble the combined work vector.
-    std::fill(work.begin(), work.end(), common::Cycles{0});
+    // --- Assemble per-domain work vectors.
+    step.clear();
     double mem_weighted = 0.0;
     double demand_total = 0.0;
     for (std::size_t a = 0; a < n_apps; ++a) {
       placements[a].app->core_work_into(i, placements[a].cores.size(),
                                         app_work[a].data());
       for (std::size_t j = 0; j < placements[a].cores.size(); ++j) {
-        work[placements[a].cores[j]] = app_work[a][j];
+        const std::size_t c = placements[a].cores[j];
+        work[platform.domain_of_core(c)][platform.local_of_core(c)] =
+            app_work[a][j];
       }
-      const double d = static_cast<double>(
-          std::accumulate(app_work[a].begin(), app_work[a].end(),
-                          common::Cycles{0}));
+      const double d = static_cast<double>(std::accumulate(
+          app_work[a].begin(), app_work[a].end(), common::Cycles{0}));
       mem_weighted += placements[a].app->mem_fraction() * d;
       demand_total += d;
     }
     const double mem_fraction =
         demand_total > 0.0 ? mem_weighted / demand_total : 0.0;
 
-    // All governors' processing runs on core 0 of the first app.
+    // All governors' processing runs on the first app's first core, at that
+    // core's domain frequency.
     if (!placements.front().cores.empty() && ovh_total > 0.0) {
-      work[placements.front().cores.front()] +=
-          common::cycles_at(cluster.current_opp().frequency, ovh_total);
+      const std::size_t c0 = placements.front().cores.front();
+      const std::size_t hd = platform.domain_of_core(c0);
+      work[hd][platform.local_of_core(c0)] += common::cycles_at(
+          platform.domain(hd).current_opp().frequency, ovh_total);
     }
 
     const common::Seconds period = placements.front().app->deadline_at(i);
-    cluster.run_epoch_into(work.data(), work.size(), period, mem_fraction,
-                           1.0e9, scratch);
-    const hw::EpochScratch& epoch = scratch;
-    const common::Watt reading =
-        platform.power_sensor().integrate(epoch.avg_power, epoch.window);
-
+    const BoardEpoch& epoch = step.run(work.data(), period, mem_fraction);
     result.total_energy += epoch.energy;
     result.total_time += epoch.window;
-
-    const common::Cycles executed_total =
-        std::accumulate(epoch.core_cycles.begin(), epoch.core_cycles.end(),
-                        common::Cycles{0});
 
     // --- Per-app accounting and observations.
     for (std::size_t a = 0; a < n_apps; ++a) {
       const auto& p = placements[a];
-      common::Seconds app_busy = 0.0;
+      common::Seconds app_frame_time = 0.0;
       common::Cycles app_cycles = 0;
       for (std::size_t j = 0; j < p.cores.size(); ++j) {
         const std::size_t c = p.cores[j];
-        app_busy = std::max(app_busy, epoch.core_busy[c]);
-        app_cycles += epoch.core_cycles[c];
-        app_cycles_buf[a][j] = epoch.core_cycles[c];
+        const hw::EpochScratch& sc = step.scratch(platform.domain_of_core(c));
+        const std::size_t l = platform.local_of_core(c);
+        // Each core's completion includes its own domain's DVFS stall.
+        app_frame_time =
+            std::max(app_frame_time, sc.core_busy[l] + sc.dvfs_stall);
+        app_cycles += sc.core_cycles[l];
+        app_cycles_buf[a][j] = sc.core_cycles[l];
       }
-      const common::Seconds app_frame_time = app_busy + epoch.dvfs_stall;
       const common::Seconds app_period = p.app->deadline_at(i);
       const bool met = app_frame_time <= app_period;
       const double share =
-          executed_total == 0 ? 0.0
+          epoch.executed == 0 ? 0.0
                               : static_cast<double>(app_cycles) /
-                                    static_cast<double>(executed_total);
+                                    static_cast<double>(epoch.executed);
+      const std::size_t home = platform.domain_of_core(p.cores.front());
 
       EpochRecord rec;
       rec.epoch = i;
       rec.period = app_period;
-      rec.opp_index = cluster.current_opp_index();
-      rec.frequency = cluster.current_opp().frequency;
+      rec.opp_index = applied[home];
+      rec.frequency = platform.domain(home).current_opp().frequency;
       rec.demand = app_cycles;
       rec.executed = app_cycles;
       rec.frame_time = app_frame_time;
       rec.window = epoch.window;
       rec.energy = epoch.energy * share;
-      rec.sensor_power = reading * share;
+      rec.sensor_power = epoch.reading * share;
       rec.temperature = epoch.temperature;
       rec.slack = app_period > 0.0
                       ? (app_period - app_frame_time) / app_period
                       : 0.0;
       rec.deadline_met = met;
 
-      if (requests[a] < applied) ++result.overridden_epochs[a];
+      // Overridden when any domain the app occupies ran faster than its own
+      // request (it was dragged faster by a co-runner there).
+      for (std::size_t d = 0; d < domains; ++d) {
+        if (app_in_domain[a][d] && requests[a] < applied[d]) {
+          ++result.overridden_epochs[a];
+          break;
+        }
+      }
 
       if (!last[a]) last[a].emplace();
       gov::EpochObservation& obs = *last[a];

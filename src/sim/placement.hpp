@@ -51,6 +51,15 @@ struct Placement {
   [[nodiscard]] std::size_t slots() const noexcept {
     return slot_domain.size();
   }
+
+  /// \brief True when slot j runs on core j of domain 0 for every j — what
+  ///        every policy yields on a single-domain board.
+  [[nodiscard]] bool identity() const noexcept {
+    for (std::size_t j = 0; j < slots(); ++j) {
+      if (slot_domain[j] != 0 || slot_local[j] != j) return false;
+    }
+    return true;
+  }
 };
 
 /// \brief A deterministic placement heuristic.

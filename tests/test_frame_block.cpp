@@ -2,9 +2,10 @@
 /// \brief The batched hot path's equivalence contracts: FrameSource::next_block
 ///        yields exactly what repeated next() yields, Application::fill_block
 ///        reproduces core_work()/deadline_at() row for row, and — the headline
-///        differential — the engine produces bit-identical results, records
-///        and `.bt` bytes at every block size for every registered governor,
-///        including a checkpoint cut mid-block.
+///        differential — the engine produces results, records and `.bt`
+///        bytes bit-identical to the per-frame reference loop
+///        (tests/support/reference_engine.hpp) at every block size for every
+///        registered governor, including a checkpoint cut mid-block.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,6 +15,7 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
+#include "support/reference_engine.hpp"
 #include "wl/application.hpp"
 #include "wl/frame_block.hpp"
 #include "wl/frame_source.hpp"
@@ -237,11 +240,10 @@ TEST(FrameBlockFill, MatchesCoreWorkForStreamingApps) {
 // --- Engine differential: every block size, every governor ------------------
 
 TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
-  // The tentpole contract: block size is an execution-strategy knob, never an
-  // observable one. For every registered governor, the scalar reference path
-  // (block=0) and batched runs at block 1, an odd straggler-producing 7, and
-  // a bigger-than-the-run 256 must agree bit for bit — aggregates and every
-  // epoch record.
+  // Block size is an execution-strategy knob, never an observable one. For
+  // every registered governor, the per-frame reference loop and batched runs
+  // at block 1, an odd straggler-producing 7, and a bigger-than-the-run 256
+  // must agree bit for bit — aggregates and every epoch record.
   constexpr std::size_t kFrames = 200;
   const auto calibration = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_streaming_app(*calibration, kFrames);
@@ -257,11 +259,15 @@ TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
       options.block_frames = block_frames;
       options.sinks = {&trace};
       const wl::Application run_app(app);
+      if (block_frames == 0) {
+        return run_reference_simulation(*platform, run_app, *governor,
+                                        options);
+      }
       return run_simulation(*platform, run_app, *governor, options);
     };
 
     TraceSink scalar_trace;
-    const RunResult scalar = run_at(0, scalar_trace);
+    const RunResult scalar = run_at(0, scalar_trace);  // the reference
     ASSERT_EQ(scalar_trace.records().size(), kFrames);
 
     for (const std::size_t block : {std::size_t{1}, std::size_t{7},
@@ -281,7 +287,7 @@ TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
 
 TEST(BatchedEngine, BinTraceBytesAreIdenticalAcrossBlockSizes) {
   // The on-disk form of the same contract: the `.bt` a batched run writes is
-  // byte-identical to the scalar reference's.
+  // byte-identical to the per-frame reference loop's.
   constexpr std::size_t kFrames = 150;
   const auto calibration = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_streaming_app(*calibration, kFrames);
@@ -295,7 +301,11 @@ TEST(BatchedEngine, BinTraceBytesAreIdenticalAcrossBlockSizes) {
     options.block_frames = block_frames;
     options.sinks = {sink.get()};
     const wl::Application run_app(app);
-    (void)run_simulation(*platform, run_app, *governor, options);
+    if (block_frames == 0) {
+      (void)run_reference_simulation(*platform, run_app, *governor, options);
+    } else {
+      (void)run_simulation(*platform, run_app, *governor, options);
+    }
     return read_bytes(path);
   };
 
@@ -303,6 +313,18 @@ TEST(BatchedEngine, BinTraceBytesAreIdenticalAcrossBlockSizes) {
   ASSERT_FALSE(scalar.empty());
   EXPECT_EQ(bt_at(1, temp_path("block-1.bt")), scalar);
   EXPECT_EQ(bt_at(64, temp_path("block-64.bt")), scalar);
+}
+
+TEST(BatchedEngine, ZeroBlockFramesIsRejected) {
+  // There is no scalar engine path any more: 0 is not a block size.
+  const auto platform = hw::Platform::odroid_xu3_a15();
+  const wl::Application app = make_streaming_app(*platform, 10);
+  const auto governor = make_governor("ondemand");
+  RunOptions options;
+  options.max_frames = 10;
+  options.block_frames = 0;
+  EXPECT_THROW((void)run_simulation(*platform, app, *governor, options),
+               std::invalid_argument);
 }
 
 TEST(BatchedEngine, KillMidBlockResumeIsBitIdentical) {

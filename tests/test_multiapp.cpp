@@ -2,6 +2,9 @@
 /// \brief Tests for concurrent multi-application execution (future work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/config.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multiapp.hpp"
 #include "sim/telemetry.hpp"
@@ -215,6 +218,41 @@ TEST(MultiApp, PerAppTelemetryStreamsMatchAggregates) {
   EXPECT_DOUBLE_EQ(agg_b.result().measured_energy,
                    r.per_app[1].measured_energy);
   EXPECT_EQ(agg_b.result().application, "fft");
+}
+
+TEST(MultiApp, BoardTemperatureIsTheHottestDomainBelowZero) {
+  // Regression: the domain combine used to start from 0 degrees, so a board
+  // colder than freezing reported exactly 0 on multi-domain platforms. The
+  // die starts at 40 degrees and cools towards the ambient within the run.
+  common::Config cfg;
+  cfg.set_int("hw.clusters", 2);
+  cfg.set_int("hw.cores", 2);
+  cfg.set_double("hw.ambient", -200.0);
+  const auto platform = hw::Platform::from_config(cfg);
+  const wl::Application a = make_app("mpeg4", 25.0, 50, 1, *platform);
+  const wl::Application b = make_app("fft", 25.0, 50, 2, *platform);
+  std::vector<std::unique_ptr<gov::Governor>> governors;
+  governors.push_back(make_governor("ondemand"));
+  governors.push_back(make_governor("ondemand"));
+  // One application per domain, so the two domains heat differently.
+  std::vector<AppPlacement> placements = {{&a, {0, 1}}, {&b, {2, 3}}};
+
+  std::size_t seen = 0;
+  std::size_t below_zero = 0;
+  CallbackSink probe([&](const EpochRecord& rec, gov::Governor&) {
+    const common::Celsius hottest =
+        std::max(platform->domain(0).thermal().temperature(),
+                 platform->domain(1).thermal().temperature());
+    EXPECT_EQ(rec.temperature, hottest) << "epoch " << rec.epoch;
+    if (rec.temperature < 0.0) ++below_zero;
+    ++seen;
+  });
+  MultiAppOptions options;
+  options.max_frames = 50;
+  options.app_sinks = {{&probe}, {&probe}};
+  (void)run_multi_simulation(*platform, placements, governors, options);
+  EXPECT_EQ(seen, 100u);
+  EXPECT_GT(below_zero, 50u);
 }
 
 TEST(MultiApp, StreamingAppsNeedMaxFramesAndMatchTraceReplay) {

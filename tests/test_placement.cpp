@@ -5,6 +5,7 @@
 ///        governor, and the per-domain decision contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -19,6 +20,8 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/placement.hpp"
+#include "sim/telemetry.hpp"
+#include "support/reference_engine.hpp"
 
 namespace prime::sim {
 namespace {
@@ -269,14 +272,20 @@ TEST(Placement, SingleDomainContextStaysHistorical) {
 TEST(Placement, SingleDomainRunsIgnorePlacementBitIdentically) {
   // On a one-domain board every placement policy is the identity mapping, so
   // RunOptions::placement must not perturb a single bit of the result — per
-  // registered governor, across the batched and scalar paths.
+  // registered governor, at block 1 and 64, against the per-frame reference
+  // loop (which has no placement at all).
   const auto calibration = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_test_app(*calibration, 120);
   for (const std::string& name : governor_names()) {
     SCOPED_TRACE(name);
     std::vector<RunResult> runs;
+    {
+      const auto board = hw::Platform::odroid_xu3_a15();
+      const auto governor = make_governor(name, 42);
+      runs.push_back(run_reference_simulation(*board, app, *governor));
+    }
     for (const std::string& placement : {"packed", "spread", "rect"}) {
-      for (const std::size_t block : {std::size_t{0}, std::size_t{64}}) {
+      for (const std::size_t block : {std::size_t{1}, std::size_t{64}}) {
         // Fresh platform per run: the power sensor's noise stream position is
         // process state, not reset() state.
         const auto board = hw::Platform::odroid_xu3_a15();
@@ -334,6 +343,49 @@ TEST(Placement, MultiDomainCheckpointingRejected) {
   with_resume.resume_from = testing::TempDir() + "md.ckpt";
   EXPECT_THROW((void)run_simulation(*board, app, *governor, with_resume),
                std::invalid_argument);
+}
+
+TEST(Placement, UnknownPlacementThrowsOnEveryBoard) {
+  // The placement is resolved on every board, so a misspelt name fails even
+  // where the only valid mapping is the identity.
+  for (const std::size_t domains : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(domains);
+    const auto board = make_board(domains, 4);
+    const wl::Application app = make_test_app(*board, 10);
+    const auto governor = make_governor("ondemand", 1);
+    RunOptions opt;
+    opt.placement = "bogus";
+    EXPECT_THROW((void)run_simulation(*board, app, *governor, opt),
+                 common::UnknownNameError);
+  }
+}
+
+TEST(Placement, BoardTemperatureIsTheHottestDomainBelowZero) {
+  // Regression: the domain combine used to start from 0 degrees, so a board
+  // colder than freezing reported exactly 0 on multi-domain platforms. The
+  // die starts at 40 degrees and cools towards the ambient within the run.
+  common::Config cfg;
+  cfg.set_int("hw.clusters", 2);
+  cfg.set_int("hw.cores", 4);
+  cfg.set_double("hw.ambient", -200.0);
+  const auto board = hw::Platform::from_config(cfg);
+  const wl::Application app = make_test_app(*board, 50);
+  const auto governor = make_governor("ondemand", 1);
+  std::size_t seen = 0;
+  std::size_t below_zero = 0;
+  CallbackSink probe([&](const EpochRecord& rec, gov::Governor&) {
+    const common::Celsius hottest =
+        std::max(board->domain(0).thermal().temperature(),
+                 board->domain(1).thermal().temperature());
+    EXPECT_EQ(rec.temperature, hottest) << "epoch " << rec.epoch;
+    if (rec.temperature < 0.0) ++below_zero;
+    ++seen;
+  });
+  RunOptions opt;
+  opt.sinks = {&probe};
+  (void)run_simulation(*board, app, *governor, opt);
+  EXPECT_EQ(seen, 50u);
+  EXPECT_GT(below_zero, 25u);
 }
 
 // --- Builder axis ------------------------------------------------------------
