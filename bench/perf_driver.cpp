@@ -235,10 +235,10 @@ int main(int argc, char** argv) {
       json += (g + 1 < governors.size()) ? ",\n" : "\n";
     }
     json += "  ],\n";
-    // Domains axis: one representative governor through the multi-domain
-    // engine path. Single-domain boards ignore the placement knob (the run
-    // takes the historical path), so domains=1 is timed once as the anchor
-    // the multi-domain numbers are read against.
+    // Domains axis: one representative governor through the engine's shared
+    // epoch step. domains=1 runs it with the identity placement (every
+    // registered placement is the identity on one domain), so it is timed
+    // once, packed, as the anchor the multi-domain numbers are read against.
     const std::string domain_gov = governors.empty() ? "ondemand"
                                                      : governors.front();
     json += "  \"domains_governor\": \"" + domain_gov + "\",\n";

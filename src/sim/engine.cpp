@@ -489,12 +489,9 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         obs.total_cycles = step.executed(d);
         obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
         obs.opp_index = clusters[d]->current_opp_index();
-        obs.avg_power = epoch.reading;
-        if (domains > 1) {
-          obs.avg_power = epoch.energy > 0.0
-                              ? epoch.reading * (sc.energy / epoch.energy)
-                              : epoch.reading / static_cast<double>(domains);
-        }
+        obs.avg_power = epoch.energy > 0.0
+                            ? epoch.reading * (sc.energy / epoch.energy)
+                            : epoch.reading / static_cast<double>(domains);
         obs.temperature = sc.temperature;
         obs.deadline_met = sc.deadline_met;
       }

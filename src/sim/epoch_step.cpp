@@ -48,12 +48,10 @@ const BoardEpoch& EpochStep::run(common::Cycles* const* work,
     board_.executed += executed_[d];
   }
   // One board-level sensor reading over the combined epoch: total energy
-  // spread over the longest domain window. A lone domain already computed
-  // exactly that quotient, so it skips the division.
-  common::Watt avg_power = scratch_[0].avg_power;
-  if (scratch_.size() > 1) {
-    avg_power = board_.window > 0.0 ? board_.energy / board_.window : 0.0;
-  }
+  // spread over the longest domain window (on one domain, exactly the
+  // cluster's own avg_power quotient).
+  const common::Watt avg_power =
+      board_.window > 0.0 ? board_.energy / board_.window : 0.0;
   board_.reading = platform_->power_sensor().integrate(avg_power,
                                                        board_.window);
   return board_;
