@@ -6,12 +6,14 @@
 namespace prime::sim {
 
 EpochStep::EpochStep(hw::Platform& platform)
-    : platform_(&platform),
+    : clusters_(platform.domain_count()),
+      sensor_(&platform.power_sensor()),
       buffers_(platform.domain_count()),
       scratch_(platform.domain_count()),
       executed_(platform.domain_count(), 0) {
   for (std::size_t d = 0; d < buffers_.size(); ++d) {
-    buffers_[d].resize(platform.domain(d).core_count());
+    clusters_[d] = &platform.domain(d);
+    buffers_[d].resize(clusters_[d]->core_count());
   }
 }
 
@@ -25,8 +27,8 @@ const BoardEpoch& EpochStep::run(common::Cycles* const* work,
                                  common::Seconds period, double mem_fraction) {
   for (std::size_t d = 0; d < scratch_.size(); ++d) {
     hw::EpochScratch& sc = scratch_[d];
-    platform_->domain(d).run_epoch_into(work[d], buffers_[d].size(), period,
-                                        mem_fraction, 1.0e9, sc);
+    clusters_[d]->run_epoch_into(work[d], buffers_[d].size(), period,
+                                 mem_fraction, 1.0e9, sc);
     executed_[d] = std::accumulate(sc.core_cycles.begin(),
                                    sc.core_cycles.end(), common::Cycles{0});
     if (d == 0) {
@@ -52,8 +54,7 @@ const BoardEpoch& EpochStep::run(common::Cycles* const* work,
   // cluster's own avg_power quotient).
   const common::Watt avg_power =
       board_.window > 0.0 ? board_.energy / board_.window : 0.0;
-  board_.reading = platform_->power_sensor().integrate(avg_power,
-                                                       board_.window);
+  board_.reading = sensor_->integrate(avg_power, board_.window);
   return board_;
 }
 

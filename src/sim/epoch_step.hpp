@@ -59,7 +59,8 @@ class EpochStep {
   }
 
  private:
-  hw::Platform* platform_;
+  std::vector<hw::Cluster*> clusters_;
+  hw::PowerSensor* sensor_;
   std::vector<std::vector<common::Cycles>> buffers_;
   std::vector<hw::EpochScratch> scratch_;
   std::vector<common::Cycles> executed_;

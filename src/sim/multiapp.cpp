@@ -135,23 +135,40 @@ MultiAppResult run_multi_simulation(
   // domains hosting no app keep their OPP; on a single-domain board that is
   // the max over every app), each domain runs its own epoch through the
   // engine's shared step, and per-app accounting reads the (domain, local)
-  // cores the app owns. Buffers are sized once and reused every frame.
+  // cores the app owns. That mapping is resolved and every buffer is sized
+  // once, so the frame loop neither divides nor allocates.
   const std::size_t domains = platform.domain_count();
   EpochStep step(platform);
   std::vector<common::Cycles*> work(domains);
-  for (std::size_t d = 0; d < domains; ++d) work[d] = step.buffer(d);
+  std::vector<hw::Cluster*> clusters(domains);
+  for (std::size_t d = 0; d < domains; ++d) {
+    work[d] = step.buffer(d);
+    clusters[d] = &platform.domain(d);
+  }
+  struct CoreSlot {
+    std::size_t domain;
+    std::size_t local;
+  };
   std::vector<std::size_t> requests(n_apps, 0);
   std::vector<std::size_t> applied(domains, 0);
   std::vector<std::vector<common::Cycles>> app_work(n_apps);
   std::vector<std::vector<common::Cycles>> app_cycles_buf(n_apps);
-  // Which domains each app occupies (its requests arbitrate only there).
-  std::vector<std::vector<char>> app_in_domain(n_apps);
+  std::vector<std::vector<CoreSlot>> app_slots(n_apps);
+  // The domains each app occupies (its requests arbitrate only there) and
+  // the apps each domain hosts.
+  std::vector<std::vector<std::size_t>> app_domains(n_apps);
+  std::vector<std::vector<std::size_t>> domain_apps(domains);
   for (std::size_t a = 0; a < n_apps; ++a) {
     app_work[a].resize(placements[a].cores.size(), 0);
     app_cycles_buf[a].resize(placements[a].cores.size(), 0);
-    app_in_domain[a].assign(domains, 0);
     for (const std::size_t c : placements[a].cores) {
-      app_in_domain[a][platform.domain_of_core(c)] = 1;
+      const std::size_t d = platform.domain_of_core(c);
+      app_slots[a].push_back({d, platform.local_of_core(c)});
+      if (std::find(app_domains[a].begin(), app_domains[a].end(), d) ==
+          app_domains[a].end()) {
+        app_domains[a].push_back(d);
+        domain_apps[d].push_back(a);
+      }
     }
   }
 
@@ -164,21 +181,20 @@ MultiAppResult run_multi_simulation(
       ctx.period = placements[a].app->deadline_at(i);
       ctx.cores = placements[a].cores.size();
       ctx.opps = &opps;
-      ctx.domain = platform.domain_of_core(placements[a].cores.front());
+      ctx.domain = app_slots[a].front().domain;
       ctx.domains = domains;
       requests[a] = governors[a]->decide(ctx, last[a]);
       ovh_total += governors[a]->epoch_overhead();
     }
     for (std::size_t d = 0; d < domains; ++d) {
-      bool any = false;
-      std::size_t req = 0;
-      for (std::size_t a = 0; a < n_apps; ++a) {
-        if (!app_in_domain[a][d]) continue;
-        req = any ? std::max(req, requests[a]) : requests[a];
-        any = true;
+      if (!domain_apps[d].empty()) {
+        std::size_t req = requests[domain_apps[d].front()];
+        for (const std::size_t a : domain_apps[d]) {
+          req = std::max(req, requests[a]);
+        }
+        clusters[d]->set_opp(req);
       }
-      if (any) platform.domain(d).set_opp(req);
-      applied[d] = platform.domain(d).current_opp_index();
+      applied[d] = clusters[d]->current_opp_index();
     }
 
     // --- Assemble per-domain work vectors.
@@ -188,10 +204,9 @@ MultiAppResult run_multi_simulation(
     for (std::size_t a = 0; a < n_apps; ++a) {
       placements[a].app->core_work_into(i, placements[a].cores.size(),
                                         app_work[a].data());
-      for (std::size_t j = 0; j < placements[a].cores.size(); ++j) {
-        const std::size_t c = placements[a].cores[j];
-        work[platform.domain_of_core(c)][platform.local_of_core(c)] =
-            app_work[a][j];
+      for (std::size_t j = 0; j < app_slots[a].size(); ++j) {
+        const CoreSlot& slot = app_slots[a][j];
+        work[slot.domain][slot.local] = app_work[a][j];
       }
       const double d = static_cast<double>(std::accumulate(
           app_work[a].begin(), app_work[a].end(), common::Cycles{0}));
@@ -203,11 +218,10 @@ MultiAppResult run_multi_simulation(
 
     // All governors' processing runs on the first app's first core, at that
     // core's domain frequency.
-    if (!placements.front().cores.empty() && ovh_total > 0.0) {
-      const std::size_t c0 = placements.front().cores.front();
-      const std::size_t hd = platform.domain_of_core(c0);
-      work[hd][platform.local_of_core(c0)] += common::cycles_at(
-          platform.domain(hd).current_opp().frequency, ovh_total);
+    if (ovh_total > 0.0) {
+      const CoreSlot& c0 = app_slots.front().front();
+      work[c0.domain][c0.local] += common::cycles_at(
+          clusters[c0.domain]->current_opp().frequency, ovh_total);
     }
 
     const common::Seconds period = placements.front().app->deadline_at(i);
@@ -220,15 +234,14 @@ MultiAppResult run_multi_simulation(
       const auto& p = placements[a];
       common::Seconds app_frame_time = 0.0;
       common::Cycles app_cycles = 0;
-      for (std::size_t j = 0; j < p.cores.size(); ++j) {
-        const std::size_t c = p.cores[j];
-        const hw::EpochScratch& sc = step.scratch(platform.domain_of_core(c));
-        const std::size_t l = platform.local_of_core(c);
+      for (std::size_t j = 0; j < app_slots[a].size(); ++j) {
+        const CoreSlot& slot = app_slots[a][j];
+        const hw::EpochScratch& sc = step.scratch(slot.domain);
         // Each core's completion includes its own domain's DVFS stall.
-        app_frame_time =
-            std::max(app_frame_time, sc.core_busy[l] + sc.dvfs_stall);
-        app_cycles += sc.core_cycles[l];
-        app_cycles_buf[a][j] = sc.core_cycles[l];
+        app_frame_time = std::max(app_frame_time,
+                                  sc.core_busy[slot.local] + sc.dvfs_stall);
+        app_cycles += sc.core_cycles[slot.local];
+        app_cycles_buf[a][j] = sc.core_cycles[slot.local];
       }
       const common::Seconds app_period = p.app->deadline_at(i);
       const bool met = app_frame_time <= app_period;
@@ -236,13 +249,13 @@ MultiAppResult run_multi_simulation(
           epoch.executed == 0 ? 0.0
                               : static_cast<double>(app_cycles) /
                                     static_cast<double>(epoch.executed);
-      const std::size_t home = platform.domain_of_core(p.cores.front());
+      const std::size_t home = app_slots[a].front().domain;
 
       EpochRecord rec;
       rec.epoch = i;
       rec.period = app_period;
       rec.opp_index = applied[home];
-      rec.frequency = platform.domain(home).current_opp().frequency;
+      rec.frequency = clusters[home]->current_opp().frequency;
       rec.demand = app_cycles;
       rec.executed = app_cycles;
       rec.frame_time = app_frame_time;
@@ -257,8 +270,8 @@ MultiAppResult run_multi_simulation(
 
       // Overridden when any domain the app occupies ran faster than its own
       // request (it was dragged faster by a co-runner there).
-      for (std::size_t d = 0; d < domains; ++d) {
-        if (app_in_domain[a][d] && requests[a] < applied[d]) {
+      for (const std::size_t d : app_domains[a]) {
+        if (requests[a] < applied[d]) {
           ++result.overridden_epochs[a];
           break;
         }
