@@ -188,7 +188,7 @@ MultiAppResult run_multi_simulation(
     }
     for (std::size_t d = 0; d < domains; ++d) {
       if (!domain_apps[d].empty()) {
-        std::size_t req = requests[domain_apps[d].front()];
+        std::size_t req = 0;
         for (const std::size_t a : domain_apps[d]) {
           req = std::max(req, requests[a]);
         }
