@@ -54,6 +54,7 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <thread>
@@ -65,6 +66,7 @@
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "sim/bintrace.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/dashboard.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
@@ -139,9 +141,6 @@ int main(int argc, char** argv) {
   // Sole length authority for streaming runs; clamps the (possibly longer,
   // calib-frames-sized) materialised trace otherwise.
   options.max_frames = frames;
-  options.checkpoint_path = cfg.get_string("checkpoint", "");
-  options.checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
   options.resume_from = cfg.get_string("resume", "");
   std::unique_ptr<sim::TelemetrySink> tail_sink;
   if (tail > 0) {
@@ -174,6 +173,18 @@ int main(int argc, char** argv) {
         dashboard_port,
         static_cast<std::size_t>(cfg.get_int("dashboard-every", 100000)));
     options.sinks.push_back(dashboard.get());
+  }
+  const std::string checkpoint_path = cfg.get_string("checkpoint", "");
+  const auto checkpoint_every =
+      static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
+  std::unique_ptr<sim::CheckpointSink> checkpoint;
+  if (!checkpoint_path.empty()) {
+    checkpoint =
+        std::make_unique<sim::CheckpointSink>(checkpoint_path, checkpoint_every);
+    options.sinks.push_back(checkpoint.get());
+  } else if (checkpoint_every != 0) {
+    throw std::invalid_argument(
+        "longrun_smoke: checkpoint-every= requires checkpoint=<path>");
   }
   const sim::RunResult run =
       sim::run_simulation(*platform, app, *governor, options);

@@ -1,8 +1,8 @@
 /// \file ckpt_tool.cpp
 /// \brief Inspect and verify `.ckpt` checkpoint files.
 ///
-/// The command-line companion of the checkpoint(path=) telemetry sink and
-/// RunOptions::checkpoint_path (in the mold of trace_tool for `.bt` traces):
+/// The command-line companion of the checkpoint(path=) telemetry sink, the
+/// one way runs write checkpoints (in the mold of trace_tool for `.bt` traces):
 /// prints a checkpoint's identity, frame position and aggregate snapshot, or
 /// validates one structurally — magic, version, seal, payload integrity —
 /// exiting nonzero on any defect, which is how CI gates a checkpoint before

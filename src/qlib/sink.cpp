@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "common/spec.hpp"
+#include "qlib/library.hpp"
+#include "sim/run_binding.hpp"
 
 namespace prime::qlib {
 
@@ -14,10 +16,10 @@ QlibSink::QlibSink(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-void QlibSink::bind(PolicyPublishFn publish) { publish_ = std::move(publish); }
+void QlibSink::bind(const sim::RunBinding* run) { run_ = run; }
 
 void QlibSink::on_run_begin(const sim::RunContext&) {
-  if (!publish_) {
+  if (run_ == nullptr) {
     throw std::logic_error(
         "QlibSink '" + dir_ +
         "': not bound to a run — policy publication is only supported by the "
@@ -29,12 +31,20 @@ void QlibSink::on_run_begin(const sim::RunContext&) {
 void QlibSink::on_epoch(const sim::EpochRecord&, gov::Governor&) {}
 
 void QlibSink::on_run_end(const sim::RunResult& result) {
-  const std::string path = publish_(result);
+  // The entry's key derives from the run unless the sink carries spec
+  // overrides (gov=/wl=/fps=) — the builder and fleet use those to key by
+  // construction spec instead of display name, so lookups match across
+  // processes.
+  const double fps =
+      fps_ > 0.0 ? fps_ : common::fps_from_period(run_->app.deadline_at(0));
+  const std::string workload = workload_.empty() ? run_->app.name() : workload_;
+  const std::string path = PolicyLibrary(dir_).put(
+      make_leaf_entry(run_->platform, run_->governor, workload, fps,
+                      governor_spec_, result.epoch_count));
   if (!path.empty()) {
     ++published_;
     last_path_ = path;
   }
-  publish_ = nullptr;  // the engine's captures die with the run
 }
 
 // --- Registry entry ----------------------------------------------------------

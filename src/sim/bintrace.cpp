@@ -7,6 +7,7 @@
 #include "common/binio.hpp"
 #include "common/csv.hpp"
 #include "common/spec.hpp"
+#include "sim/run_binding.hpp"
 
 namespace prime::sim {
 
@@ -378,6 +379,10 @@ std::uint64_t concat_traces(const std::vector<std::string>& inputs,
 BinTraceSink::BinTraceSink(std::string path) : path_(std::move(path)) {}
 
 BinTraceSink::~BinTraceSink() = default;
+
+void BinTraceSink::bind(const RunBinding* run) {
+  if (run != nullptr && run->trace_path.empty()) run->trace_path = path_;
+}
 
 void BinTraceSink::on_run_begin(const RunContext& ctx) {
   // (Re)opened truncating per run: a .bt holds exactly one run's homogeneous

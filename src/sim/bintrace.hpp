@@ -244,6 +244,10 @@ class BinTraceSink : public TelemetrySink {
   explicit BinTraceSink(std::string path);
   ~BinTraceSink() override;
 
+  /// \brief Publish the path as the run's trace (RunBinding::trace_path,
+  ///        which a dashboard's /window serves) unless a sink bound earlier
+  ///        already did.
+  void bind(const RunBinding* run) override;
   void on_run_begin(const RunContext& ctx) override;
   void on_epoch(const EpochRecord& record, gov::Governor& governor) override;
   void on_run_end(const RunResult& result) override;

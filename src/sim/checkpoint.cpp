@@ -8,6 +8,7 @@
 
 #include "common/binio.hpp"
 #include "common/serial.hpp"
+#include "sim/run_binding.hpp"
 
 namespace prime::sim {
 
@@ -251,8 +252,15 @@ CheckpointSink::CheckpointSink(std::string path, std::size_t every)
   }
 }
 
-void CheckpointSink::bind(CheckpointSnapshotFn snapshot) {
-  snapshot_ = std::move(snapshot);
+void CheckpointSink::bind(const RunBinding* run) {
+  if (run != nullptr && !run->snapshot) {
+    throw std::invalid_argument(
+        "run_simulation: checkpoint sinks are not yet supported on "
+        "multi-domain platforms (" +
+        std::to_string(run->platform.domain_count()) +
+        " DVFS domains configured)");
+  }
+  snapshot_ = run != nullptr ? run->snapshot : nullptr;
 }
 
 void CheckpointSink::on_run_begin(const RunContext&) {
@@ -276,7 +284,6 @@ void CheckpointSink::on_run_end(const RunResult&) {
   // Always leave a final checkpoint: a completed run can then be *extended*
   // (resume with a larger max_frames) without replaying its history.
   write_snapshot();
-  snapshot_ = nullptr;  // the engine's captures die with the run
 }
 
 void CheckpointSink::write_snapshot() {

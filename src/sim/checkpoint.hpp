@@ -111,8 +111,8 @@ struct Checkpoint {
 };
 
 /// \brief Produces a point-in-time Checkpoint of the running simulation;
-///        bound by the engine (which owns the state) into every attached
-///        CheckpointSink at run begin.
+///        the engine (which owns the state) hands it to the sinks in its
+///        RunBinding.
 using CheckpointSnapshotFn = std::function<Checkpoint()>;
 
 /// \brief Telemetry sink writing periodic checkpoints. Spec:
@@ -120,21 +120,23 @@ using CheckpointSnapshotFn = std::function<Checkpoint()>;
 ///
 /// The sink decides *when* (every n-th epoch, plus once at run end so a
 /// completed run can be extended later); the engine provides *what* through
-/// bind() — a snapshot function capturing the live governor, platform and
-/// aggregates. Snapshots ride the existing epoch event path, are read-only
+/// bind() — the RunBinding's snapshot function over the live governor,
+/// platform and aggregates. Snapshots ride the existing epoch event path, are read-only
 /// with respect to the run (a checkpointed run executes identically to an
 /// unobserved one) and overwrite the same path atomically, so the file always
 /// holds the most recent complete snapshot. `every=0` writes only the final
-/// run-end checkpoint. Engines that do not support checkpointing (the
-/// multi-app engine) never bind the sink, which then fails loudly at run
-/// begin instead of silently recording nothing.
+/// run-end checkpoint. A board that cannot checkpoint (more than one DVFS
+/// domain) makes bind() throw std::invalid_argument; the multi-app engine
+/// does not bind at all, and the sink then fails loudly at run begin instead
+/// of silently recording nothing.
 class CheckpointSink : public TelemetrySink {
  public:
   /// \brief Write to \p path every \p every epochs (0 = run end only).
   explicit CheckpointSink(std::string path, std::size_t every = 0);
 
-  /// \brief Supply the engine's snapshot function (valid for one run).
-  void bind(CheckpointSnapshotFn snapshot);
+  /// \brief Keep the run's snapshot function; throws
+  ///        std::invalid_argument when the run cannot checkpoint.
+  void bind(const RunBinding* run) override;
 
   void on_run_begin(const RunContext& ctx) override;
   void on_epoch(const EpochRecord& record, gov::Governor& governor) override;

@@ -11,6 +11,7 @@
 
 #include "common/spec.hpp"
 #include "sim/bintrace.hpp"
+#include "sim/run_binding.hpp"
 
 namespace prime::sim {
 
@@ -133,6 +134,7 @@ void DashboardSink::on_run_begin(const RunContext& ctx) {
   if (server) server_ = std::move(server);
   state_ = "running";
   ctx_ = ctx;
+  bound_bt_path_ = run_ != nullptr ? run_->trace_path : std::string();
   live_ = RunResult{};
   live_.governor = ctx.governor;
   live_.application = ctx.application;
@@ -149,25 +151,17 @@ void DashboardSink::on_run_begin(const RunContext& ctx) {
 void DashboardSink::on_epoch(const EpochRecord& record, gov::Governor&) {
   std::lock_guard<std::mutex> lock(mu_);
   live_.accumulate(record);
-  if (domain_probe_) {
-    domain_probe_(domain_opps_);
-    if (residency_.size() < domain_opps_.size()) {
-      residency_.resize(domain_opps_.size());
-    }
-    for (std::size_t d = 0; d < domain_opps_.size(); ++d) {
-      if (residency_[d].size() <= domain_opps_[d]) {
-        residency_[d].resize(domain_opps_[d] + 1, 0);
-      }
-      ++residency_[d][domain_opps_[d]];
-    }
-  } else {
-    // No engine binding (standalone use): the record's opp_index is the
-    // bottleneck domain's — exact residency on single-domain platforms.
-    if (residency_.empty()) residency_.resize(1);
-    if (residency_[0].size() <= record.opp_index) {
-      residency_[0].resize(record.opp_index + 1, 0);
-    }
-    ++residency_[0][record.opp_index];
+  // Bound, every domain's live OPP counts (set before the epoch executed,
+  // untouched until the next decision); unbound, the record's opp_index.
+  const std::size_t domains =
+      run_ != nullptr ? run_->platform.domain_count() : 1;
+  if (residency_.size() < domains) residency_.resize(domains);
+  for (std::size_t d = 0; d < domains; ++d) {
+    const std::size_t opp = run_ != nullptr
+                                ? run_->platform.domain(d).current_opp_index()
+                                : record.opp_index;
+    if (residency_[d].size() <= opp) residency_[d].resize(opp + 1, 0);
+    ++residency_[d][opp];
   }
   if (tail_) tail_->push(record);
   if (live_.epoch_count % every_ == 0) {
@@ -187,24 +181,9 @@ void DashboardSink::on_run_end(const RunResult& result) {
   cv_.notify_all();
 }
 
-void DashboardSink::bind_domains(DomainProbe probe) {
+void DashboardSink::bind(const RunBinding* run) {
   std::lock_guard<std::mutex> lock(mu_);
-  domain_probe_ = std::move(probe);
-}
-
-void DashboardSink::unbind_domains() {
-  std::lock_guard<std::mutex> lock(mu_);
-  domain_probe_ = nullptr;
-}
-
-void DashboardSink::bind_trace_path(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  bound_bt_path_ = path;
-}
-
-void DashboardSink::unbind_trace_path() {
-  std::lock_guard<std::mutex> lock(mu_);
-  bound_bt_path_.clear();
+  run_ = run;
 }
 
 std::uint16_t DashboardSink::bound_port() const {

@@ -97,7 +97,10 @@ struct RunOptions {
   /// std::invalid_argument on 0.
   std::size_t max_frames = 0;
   /// Telemetry sinks (not owned; must outlive the run) receiving run-begin,
-  /// every epoch in order, and run-end. See sim/telemetry.hpp.
+  /// every epoch in order, and run-end. See sim/telemetry.hpp. Each is bound
+  /// to the live run (sim/run_binding.hpp) for its duration, which is how a
+  /// CheckpointSink — `checkpoint(path=run.ckpt,every=50000)` — snapshots
+  /// it; only single-domain boards can checkpoint (std::invalid_argument).
   std::vector<TelemetrySink*> sinks;
   bool reset_platform = true;   ///< Reset hardware state before the run.
   bool reset_governor = true;   ///< Reset governor learning before the run.
@@ -117,16 +120,8 @@ struct RunOptions {
   /// result there. Unknown names throw common::UnknownNameError.
   std::string placement = "packed";
 
-  // --- Checkpoint/resume (sim/checkpoint.hpp) --------------------------------
+  // --- Resume (sim/checkpoint.hpp) -------------------------------------------
 
-  /// Write a resumable `.ckpt` snapshot here (atomic overwrite). Implemented
-  /// by attaching an engine-owned CheckpointSink; a `checkpoint(path=...)`
-  /// telemetry sink in `sinks` is the equivalent spec-driven form. Empty
-  /// disables engine-side checkpointing.
-  std::string checkpoint_path;
-  /// Snapshot cadence in epochs for checkpoint_path (0 = only at run end).
-  /// Nonzero without a checkpoint_path throws std::invalid_argument.
-  std::size_t checkpoint_every = 0;
   /// Resume from the `.ckpt` at this path instead of starting fresh: restores
   /// governor + platform + aggregate state, fast-forwards the frame stream,
   /// and continues at the stored frame position — bit-identical to a run that

@@ -34,6 +34,8 @@ class CsvWriter;
 
 namespace prime::sim {
 
+struct RunBinding;
+
 /// \brief Context delivered at run begin: what is about to execute.
 struct RunContext {
   std::string governor;      ///< Governor display name.
@@ -56,6 +58,11 @@ struct RunContext {
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;
+  /// \brief run_simulation hands the live run (sim/run_binding.hpp) to
+  ///        every attached sink before on_run_begin, and nullptr on every
+  ///        exit; a sink that cannot serve the run throws. Engines that do
+  ///        not bind leave sinks unbound. The default ignores the run.
+  virtual void bind(const RunBinding* run) { (void)run; }
   /// \brief A run is starting; reset per-run state.
   virtual void on_run_begin(const RunContext& ctx) { (void)ctx; }
   /// \brief One epoch executed. \p governor allows introspection probes
@@ -230,6 +237,9 @@ class SampleSink : public TelemetrySink {
   /// \brief Forward every \p every-th epoch (>= 1) to \p inner.
   SampleSink(std::size_t every, std::unique_ptr<TelemetrySink> inner);
 
+  /// \brief Binds the inner sink, so sample(inner=checkpoint(...)) binds too
+  ///        — the sample cadence then gates how often snapshots are taken.
+  void bind(const RunBinding* run) override;
   void on_run_begin(const RunContext& ctx) override;
   void on_epoch(const EpochRecord& record, gov::Governor& governor) override;
   void on_run_end(const RunResult& result) override;

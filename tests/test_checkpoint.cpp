@@ -473,7 +473,8 @@ TEST(CheckpointResume, BitIdenticalForEveryRegisteredGovernor) {
     const auto governor_stop = make_governor(name);
     RunOptions stop_options;
     stop_options.max_frames = kStop;
-    stop_options.checkpoint_path = ckpt;
+    CheckpointSink checkpoint(ckpt);
+    stop_options.sinks = {&checkpoint};
     const wl::Application app_stop(app);
     (void)run_simulation(*platform_stop, app_stop, *governor_stop,
                          stop_options);
@@ -526,7 +527,8 @@ TEST(CheckpointResume, TailBinTraceIsByteIdenticalToTheReference) {
     const auto governor = make_governor("rtm-manycore");
     RunOptions options;
     options.max_frames = kStop;
-    options.checkpoint_path = ckpt;
+    CheckpointSink checkpoint(ckpt);
+    options.sinks = {&checkpoint};
     const wl::Application run_app(app);
     (void)run_simulation(*platform, run_app, *governor, options);
   }
@@ -562,7 +564,8 @@ TEST(CheckpointResume, MismatchedGovernorOrApplicationFailsLoudly) {
     const auto governor = make_governor("shen-rl");
     RunOptions options;
     options.max_frames = 80;
-    options.checkpoint_path = ckpt;
+    CheckpointSink checkpoint(ckpt);
+    options.sinks = {&checkpoint};
     const wl::Application run_app(app);
     (void)run_simulation(*platform, run_app, *governor, options);
   }
@@ -608,7 +611,8 @@ TEST(CheckpointResume, DifferentPlatformShapeFailsLoudly) {
     const auto governor = make_governor("shen-rl");
     RunOptions options;
     options.max_frames = 60;
-    options.checkpoint_path = ckpt;
+    CheckpointSink checkpoint(ckpt);
+    options.sinks = {&checkpoint};
     const wl::Application run_app(app);
     (void)run_simulation(*platform, run_app, *governor, options);
   }
@@ -633,7 +637,8 @@ TEST(CheckpointResume, PositionBeyondRunLengthRejected) {
     const auto governor = make_governor("ondemand");
     RunOptions options;
     options.max_frames = 60;
-    options.checkpoint_path = ckpt;
+    CheckpointSink checkpoint(ckpt);
+    options.sinks = {&checkpoint};
     const wl::Application run_app(app);
     (void)run_simulation(*platform, run_app, *governor, options);
   }
@@ -644,17 +649,6 @@ TEST(CheckpointResume, PositionBeyondRunLengthRejected) {
   options.resume_from = ckpt;
   const wl::Application run_app(app);
   EXPECT_THROW((void)run_simulation(*platform, run_app, *governor, options),
-               std::invalid_argument);
-}
-
-TEST(RunOptionsValidation, CheckpointEveryRequiresAPath) {
-  const auto platform = hw::Platform::odroid_xu3_a15();
-  const wl::Application app = make_streaming_app(*platform, 20);
-  const auto governor = make_governor("performance");
-  RunOptions options;
-  options.max_frames = 20;
-  options.checkpoint_every = 5;  // no checkpoint_path
-  EXPECT_THROW((void)run_simulation(*platform, app, *governor, options),
                std::invalid_argument);
 }
 
@@ -702,7 +696,8 @@ TEST(CheckpointSinkTest, CompletedRunsCanBeExtended) {
   const auto governor_b = make_governor("rtm");
   RunOptions first;
   first.max_frames = 100;
-  first.checkpoint_path = ckpt;
+  CheckpointSink checkpoint(ckpt);
+  first.sinks = {&checkpoint};
   const wl::Application app_b(app);
   (void)run_simulation(*platform_b, app_b, *governor_b, first);
 
@@ -743,8 +738,8 @@ TEST(CheckpointSinkTest, BindsThroughSampleDecimation) {
 }
 
 TEST(CheckpointSinkTest, UnboundSinkFailsLoudlyAtRunBegin) {
-  // Engines that never bind the sink (the multi-app engine) must produce a
-  // clear error instead of a run that silently recorded nothing.
+  // An engine that does not bind its sinks (the multi-app engine) must
+  // produce a clear error instead of a run that silently recorded nothing.
   const auto sink = make_sink("checkpoint(path=" + temp_path("unbound.ckpt") +
                               ")");
   RunContext ctx;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/bintrace.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
@@ -359,7 +360,8 @@ TEST(BatchedEngine, KillMidBlockResumeIsBitIdentical) {
     RunOptions stop_options;
     stop_options.max_frames = kStop;
     stop_options.block_frames = kBlock;
-    stop_options.checkpoint_path = ckpt;
+    CheckpointSink checkpoint(ckpt);
+    stop_options.sinks = {&checkpoint};
     const wl::Application app_stop(app);
     (void)run_simulation(*platform_stop, app_stop, *governor_stop,
                          stop_options);

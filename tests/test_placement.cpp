@@ -17,6 +17,7 @@
 #include "common/registry.hpp"
 #include "hw/platform.hpp"
 #include "sim/builder.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/placement.hpp"
@@ -335,8 +336,9 @@ TEST(Placement, MultiDomainCheckpointingRejected) {
   const auto board = make_board(2, 4);
   const wl::Application app = make_test_app(*board, 50);
   const auto governor = make_governor("ondemand", 1);
+  CheckpointSink checkpoint(testing::TempDir() + "md.ckpt");
   RunOptions with_ckpt;
-  with_ckpt.checkpoint_path = testing::TempDir() + "md.ckpt";
+  with_ckpt.sinks = {&checkpoint};
   EXPECT_THROW((void)run_simulation(*board, app, *governor, with_ckpt),
                std::invalid_argument);
   RunOptions with_resume;

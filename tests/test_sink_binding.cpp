@@ -9,11 +9,13 @@
 #include <cstddef>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/http.hpp"
 #include "hw/platform.hpp"
 #include "qlib/policy.hpp"
@@ -213,6 +215,52 @@ INSTANTIATE_TEST_SUITE_P(
                                      Wrap::kSampleOfSample),
                      testing::Values(Position::kFirst, Position::kLast)),
     grid_name);
+
+// --- No binding outlives its run ---------------------------------------------
+//
+// A 2-domain board cannot checkpoint, so an attached checkpoint sink rejects
+// the run at bind time. The sinks bound before it must be unbound all the
+// same: they hold pointers into the rejected run.
+
+std::unique_ptr<hw::Platform> two_domain_board() {
+  common::Config cfg;
+  cfg.set_int("hw.clusters", 2);
+  return hw::Platform::from_config(cfg);
+}
+
+TEST(SinkBinding, RejectedRunLeavesTheQlibSinkUnbound) {
+  auto board = two_domain_board();
+  const auto governor = make_governor("rtm", 7);
+  qlib::QlibSink ql(temp_path("leak-qlib"));
+  CheckpointSink ck(temp_path("leak-qlib.ckpt"));
+  RunOptions opt;
+  opt.sinks = {&ql, &ck};
+  EXPECT_THROW((void)run_simulation(*board, make_app(), *governor, opt),
+               std::invalid_argument);
+  EXPECT_THROW(ql.on_run_begin(RunContext{}), std::logic_error);
+}
+
+TEST(SinkBinding, RejectedRunLeavesTheDashboardOffTheDeadBoard) {
+  DashboardSink dash(0, 1);
+  const auto governor = make_governor("rtm", 7);
+  {
+    auto board = two_domain_board();
+    CheckpointSink ck(temp_path("leak-dash.ckpt"));
+    RunOptions opt;
+    opt.sinks = {&dash, &ck};
+    EXPECT_THROW((void)run_simulation(*board, make_app(), *governor, opt),
+                 std::invalid_argument);
+  }  // the board is destroyed before the dashboard is used again
+
+  // Standalone use: residency falls back to the record's own OPP, one row.
+  dash.on_run_begin(RunContext{});
+  EpochRecord record;
+  record.opp_index = 2;
+  dash.on_epoch(record, *governor);
+  const std::string snapshot = dash.snapshot_json();
+  EXPECT_NE(snapshot.find("\"opp_residency\":[[0,0,1]]"), std::string::npos)
+      << snapshot;
+}
 
 }  // namespace
 }  // namespace prime::sim
