@@ -179,8 +179,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
   std::unique_ptr<sim::CheckpointSink> checkpoint;
   if (!checkpoint_path.empty()) {
-    checkpoint =
-        std::make_unique<sim::CheckpointSink>(checkpoint_path, checkpoint_every);
+    checkpoint = std::make_unique<sim::CheckpointSink>(checkpoint_path,
+                                                       checkpoint_every);
     options.sinks.push_back(checkpoint.get());
   } else if (checkpoint_every != 0) {
     throw std::invalid_argument(

@@ -121,10 +121,10 @@ using CheckpointSnapshotFn = std::function<Checkpoint()>;
 /// The sink decides *when* (every n-th epoch, plus once at run end so a
 /// completed run can be extended later); the engine provides *what* through
 /// bind() — the RunBinding's snapshot function over the live governor,
-/// platform and aggregates. Snapshots ride the existing epoch event path, are read-only
-/// with respect to the run (a checkpointed run executes identically to an
-/// unobserved one) and overwrite the same path atomically, so the file always
-/// holds the most recent complete snapshot. `every=0` writes only the final
+/// platform and aggregates. Snapshots ride the existing epoch event path,
+/// are read-only with respect to the run (a checkpointed run executes
+/// identically to an unobserved one) and overwrite the same path atomically,
+/// so the file always holds the most recent complete snapshot. `every=0` writes only the final
 /// run-end checkpoint. A board that cannot checkpoint (more than one DVFS
 /// domain) makes bind() throw std::invalid_argument; the multi-app engine
 /// does not bind at all, and the sink then fails loudly at run begin instead

@@ -106,8 +106,8 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     // carry one per domain. Fail loudly rather than resume with domains 1..N
     // silently re-observing from scratch.
     throw std::invalid_argument(
-        "run_simulation: resume is not yet supported on "
-        "multi-domain platforms (" +
+        "run_simulation: resume is not yet supported on multi-domain "
+        "platforms (" +
         std::to_string(domains) + " DVFS domains configured)");
   }
   // Every board resolves its placement — a single domain's is the identity —
