@@ -7,8 +7,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -468,6 +470,96 @@ TEST(FleetFailureInjection, RetryResumesFromCheckpointBitIdentically) {
         << "shard " << i << " restarted from scratch instead of resuming";
   }
 }
+
+/// 12 devices in 3 shards of 4: shard 0 runs only ondemand, shard 1 straddles
+/// the ondemand/rtm cell boundary, shard 2 runs only rtm, so the rtm cell's
+/// fleet policy folds accumulators from two shards.
+PopulationSpec rtm_population() {
+  PopulationSpec pop = tiny_population();
+  pop.governors = {"ondemand", "rtm"};
+  pop.devices_per_cell = 6;
+  pop.frames = 30;
+  return pop;
+}
+
+/// Every `.qpol` under \p dir, keyed by its path relative to \p dir.
+std::map<std::string, std::string> qpol_files(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (e.path().extension() != ".qpol") continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[std::filesystem::relative(e.path(), dir).string()] = bytes.str();
+  }
+  return files;
+}
+
+/// (checkpoint_every, fail_first_attempt_after): the checkpoint cadence and
+/// the device count after which every shard's first attempt is killed.
+class FleetPolicyBytes
+    : public testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(FleetPolicyBytes, SurviveCheckpointCadenceAndRetry) {
+  const auto [every, kill_after] = GetParam();
+  const PopulationSpec pop = rtm_population();
+  constexpr std::size_t kShards = 3;
+
+  FleetOptions clean;
+  clean.shards = kShards;
+  clean.workers = 0;
+  clean.out_dir = temp_dir("policy-bytes-ref");
+  const std::string reference = report_csv(FleetDriver(clean).run(pop));
+
+  FleetOptions options;
+  options.shards = kShards;
+  options.workers = 2;
+  options.out_dir = temp_dir("policy-bytes-" + std::to_string(every) + "-" +
+                             std::to_string(kill_after));
+  options.checkpoint_every = every;
+  options.fail_first_attempt_after = kill_after;
+  FleetDriver driver(options);
+  EXPECT_EQ(report_csv(driver.run(pop)), reference);
+  EXPECT_EQ(driver.retries_used(), kill_after > 0 ? kShards : 0u);
+
+  const bool resumes = kill_after > 0 && every > 0 && kill_after >= every;
+  bool saw_rtm = false;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    const ShardSummary want =
+        ShardSummary::load_file(shard_summary_path(clean.out_dir, i));
+    const ShardSummary got =
+        ShardSummary::load_file(shard_summary_path(options.out_dir, i));
+    EXPECT_EQ(got.started_at_device > got.shard.device_begin, resumes)
+        << "shard " << i;
+    ASSERT_EQ(got.policies.size(), want.policies.size()) << "shard " << i;
+    for (const auto& [cell, policy] : want.policies) {
+      ASSERT_EQ(got.policies.count(cell), 1u) << "shard " << i;
+      const CellPolicy& p = got.policies.at(cell);
+      EXPECT_EQ(p.mergeable, policy.mergeable);
+      EXPECT_EQ(p.accumulator, policy.accumulator)
+          << "shard " << i << " cell " << cell;
+      EXPECT_EQ(p.epochs, policy.epochs);
+      EXPECT_EQ(p.source_fingerprint, policy.source_fingerprint);
+      saw_rtm = saw_rtm || policy.mergeable;
+    }
+  }
+  EXPECT_TRUE(saw_rtm) << "no shard folded a mergeable (rtm) policy";
+
+  const auto want_qpol = qpol_files(clean.out_dir + "/qlib");
+  EXPECT_EQ(want_qpol.size(), 1u);  // the rtm cell; ondemand has no merger
+  EXPECT_EQ(qpol_files(options.out_dir + "/qlib"), want_qpol);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CadenceByKill, FleetPolicyBytes,
+    testing::Combine(testing::Values(std::size_t{0}, std::size_t{1},
+                                     std::size_t{3}),
+                     testing::Values(std::size_t{0}, std::size_t{1},
+                                     std::size_t{3})),
+    [](const testing::TestParamInfo<FleetPolicyBytes::ParamType>& info) {
+      return "every" + std::to_string(std::get<0>(info.param)) + "_kill" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(FleetFailureInjection, RetryBudgetExhaustionThrows) {
   const PopulationSpec pop = tiny_population();
