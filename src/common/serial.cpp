@@ -1,7 +1,7 @@
 #include "common/serial.hpp"
 
+#include <algorithm>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #include "common/binio.hpp"
@@ -43,14 +43,26 @@ void StateWriter::str(const std::string& v) {
   out_->write(v.data(), static_cast<std::streamsize>(v.size()));
 }
 
+namespace {
+
+/// Count + every element in one buffer, then one stream write.
+template <typename T, void (*Store)(unsigned char*, T) noexcept>
+void write_vec(std::ostream& out, const std::vector<T>& v) {
+  std::string buf(8 * (v.size() + 1), '\0');
+  auto* p = reinterpret_cast<unsigned char*>(buf.data());
+  store_u64(p, v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) Store(p + 8 * (i + 1), v[i]);
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+}
+
+}  // namespace
+
 void StateWriter::vec_f64(const std::vector<double>& v) {
-  u64(v.size());
-  for (const double x : v) f64(x);
+  write_vec<double, store_f64>(*out_, v);
 }
 
 void StateWriter::vec_u64(const std::vector<std::uint64_t>& v) {
-  u64(v.size());
-  for (const std::uint64_t x : v) u64(x);
+  write_vec<std::uint64_t, store_u64>(*out_, v);
 }
 
 // --- StateReader -------------------------------------------------------------
@@ -100,42 +112,49 @@ bool StateReader::boolean() {
   return v == 1;
 }
 
-std::string StateReader::str() {
+std::string StateReader::blob(std::uint64_t max_bytes) {
   const std::uint64_t n = u64();
-  if (n > kMaxString) {
-    throw SerialError("serialised state: string length " + std::to_string(n) +
-                      " exceeds the " + std::to_string(kMaxString) +
+  if (n > max_bytes) {
+    throw SerialError("serialised state: length " + std::to_string(n) +
+                      " exceeds the " + std::to_string(max_bytes) +
                       " byte bound (corrupt payload?)");
   }
-  std::string out(static_cast<std::size_t>(n), '\0');
-  if (n > 0) {
-    in_->read(out.data(), static_cast<std::streamsize>(n));
-    if (static_cast<std::uint64_t>(in_->gcount()) != n) {
-      throw SerialError("serialised state: truncated string payload");
-    }
+  constexpr std::uint64_t kChunk = 64 * 1024;
+  std::string out;
+  while (out.size() < n) {
+    const std::size_t at = out.size();
+    const auto take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n - at, kChunk));
+    out.resize(at + take);
+    read_bytes(reinterpret_cast<unsigned char*>(out.data() + at), take);
+  }
+  return out;
+}
+
+template <typename T, T (*Load)(const unsigned char*) noexcept>
+std::vector<T> StateReader::read_vec() {
+  const std::uint64_t n = u64();
+  // The elements arrive chunk by chunk, so a count the stream cannot hold
+  // fails on the first short read instead of allocating what it claims.
+  unsigned char buf[8 * kVecChunk];
+  std::vector<T> out;
+  while (out.size() < n) {
+    const std::size_t at = out.size();
+    const auto take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n - at, kVecChunk));
+    read_bytes(buf, 8 * take);
+    out.resize(at + take);
+    for (std::size_t i = 0; i < take; ++i) out[at + i] = Load(buf + 8 * i);
   }
   return out;
 }
 
 std::vector<double> StateReader::vec_f64() {
-  const std::uint64_t n = u64();
-  // Each element costs 8 bytes in the stream; a count the stream cannot
-  // physically hold is corruption, caught element-by-element below without
-  // an eager mega-allocation only when the count is plausible.
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(n, 1u << 20)));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
-  return out;
+  return read_vec<double, load_f64>();
 }
 
 std::vector<std::uint64_t> StateReader::vec_u64() {
-  const std::uint64_t n = u64();
-  std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(n, 1u << 20)));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(u64());
-  return out;
+  return read_vec<std::uint64_t, load_u64>();
 }
 
 }  // namespace prime::common

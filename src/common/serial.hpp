@@ -10,8 +10,9 @@
 /// payloads) round-trips exactly, independent of host endianness.
 ///
 /// StateReader fails closed: any short read, malformed boolean or oversized
-/// string throws SerialError instead of returning a default — a truncated or
-/// corrupt payload must never load as a silently different state.
+/// string or blob throws SerialError instead of returning a default — a
+/// truncated or corrupt payload must never load as a silently different
+/// state.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +48,17 @@ class StateWriter {
   void boolean(bool v);
   /// \brief u64 byte length followed by the raw bytes.
   void str(const std::string& v);
+  /// \brief Opaque byte blob (a nested state payload): the same u64 length
+  ///        + raw bytes as str(), read back under StateReader::blob's larger
+  ///        bound.
+  void blob(const std::string& v) { str(v); }
   /// \brief std::size_t as u64.
   void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
-  /// \brief u64 element count followed by each element as f64.
+  /// \brief u64 element count followed by each element as f64, in one
+  ///        stream write.
   void vec_f64(const std::vector<double>& v);
-  /// \brief u64 element count followed by each element as u64.
+  /// \brief u64 element count followed by each element as u64, in one
+  ///        stream write.
   void vec_u64(const std::vector<std::uint64_t>& v);
 
  private:
@@ -73,16 +80,28 @@ class StateReader {
   [[nodiscard]] bool boolean();
   /// \brief Length-prefixed string. Lengths above kMaxString throw — state
   ///        strings are names and spec text, never megabytes.
-  [[nodiscard]] std::string str();
+  [[nodiscard]] std::string str() { return blob(kMaxString); }
+  /// \brief What StateWriter::blob wrote. Lengths above \p max_bytes throw;
+  ///        the bytes arrive in bounded chunks, so a corrupt length fails on
+  ///        the short read without allocating what it claims.
+  [[nodiscard]] std::string blob(std::uint64_t max_bytes = kMaxBlob);
   [[nodiscard]] std::size_t size() { return static_cast<std::size_t>(u64()); }
+  /// \brief Vectors arrive kVecChunk elements per stream read and never read
+  ///        past their last element, so tellg() lands right after the vector.
   [[nodiscard]] std::vector<double> vec_f64();
   [[nodiscard]] std::vector<std::uint64_t> vec_u64();
 
   /// \brief Upper bound on str() lengths (64 KiB).
   static constexpr std::uint64_t kMaxString = 64 * 1024;
+  /// \brief Default upper bound on blob() lengths (1 GiB).
+  static constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
+  /// \brief Elements per stream read in vec_f64() / vec_u64().
+  static constexpr std::size_t kVecChunk = 512;
 
  private:
   void read_bytes(unsigned char* out, std::size_t n);
+  template <typename T, T (*Load)(const unsigned char*) noexcept>
+  std::vector<T> read_vec();
 
   std::istream* in_;
 };

@@ -143,6 +143,16 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
     sinks.push_back(dashboard.get());
   }
 
+  // Serialise every live merger into its cell's record, then write: the
+  // accumulators are read only from saved summaries, and re-serialising one
+  // after every device cost as much as a short device run.
+  const auto save = [&](const std::string& path) {
+    for (const auto& [cell, merger] : mergers) {
+      summary.policies.at(cell).accumulator = merger->accumulator();
+    }
+    summary.save_file(path);
+  };
+
   std::size_t session_devices = 0;
   while (summary.next_device < shard.device_end) {
     const auto index = static_cast<std::size_t>(summary.next_device);
@@ -159,8 +169,7 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
     // Policy fold. First touch of a cell decides mergeability once (from the
     // cell's governor spec — deterministic, so every shard of a population
     // agrees); after that every device's trained state folds into the cell's
-    // merger and the serialised accumulator is refreshed so any checkpoint
-    // written at this boundary carries the fold so far.
+    // merger. The serialised accumulator is refreshed only by save().
     auto pit = summary.policies.find(dev.cell);
     if (pit == summary.policies.end()) {
       CellPolicy policy;
@@ -183,7 +192,6 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
       h.u64(result.epoch_count);
       h.bytes(outcome.governor_state.data(), outcome.governor_state.size());
       policy.source_fingerprint ^= h.value();  // XOR: order-invariant
-      policy.accumulator = merger->accumulator();
     }
     ++summary.next_device;
     ++session_devices;
@@ -191,7 +199,7 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
     const bool done = summary.next_device == shard.device_end;
     if (!opts.checkpoint_path.empty() && opts.checkpoint_every > 0 &&
         session_devices % opts.checkpoint_every == 0 && !done) {
-      summary.save_file(opts.checkpoint_path);
+      save(opts.checkpoint_path);
     }
     if (opts.fail_after_devices > 0 && opts.attempt == 0 &&
         session_devices == opts.fail_after_devices && !done) {
@@ -201,7 +209,7 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
     }
   }
 
-  summary.save_file(opts.summary_path);
+  save(opts.summary_path);
   return summary;
 }
 

@@ -44,34 +44,6 @@ void read_aggregates(common::StateReader& r, sim::RunResult& out) {
   out.power_sum = r.f64();
 }
 
-/// Merge accumulators can exceed StateReader's string bound (a large Q-table
-/// payload), so they travel as a bare u64 length + raw bytes with their own
-/// generous sanity cap — the checkpoint blob convention.
-constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
-
-void write_blob(common::StateWriter& w, std::ostream& out,
-                const std::string& blob) {
-  w.u64(blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-}
-
-std::string read_blob(common::StateReader& r, std::istream& in,
-                      const std::string& label) {
-  const std::uint64_t n = r.u64();
-  if (n > kMaxBlob) {
-    throw FleetError("shard summary '" + label +
-                     "': policy accumulator claims " + std::to_string(n) +
-                     " bytes (corrupt length)");
-  }
-  std::string blob(static_cast<std::size_t>(n), '\0');
-  in.read(blob.data(), static_cast<std::streamsize>(n));
-  if (static_cast<std::uint64_t>(in.gcount()) != n) {
-    throw FleetError("shard summary '" + label +
-                     "': truncated policy accumulator");
-  }
-  return blob;
-}
-
 }  // namespace
 
 CellStats::CellStats()
@@ -196,7 +168,7 @@ void ShardSummary::write(std::ostream& out) const {
     w.u64(policy.platform_fingerprint);
     w.u64(policy.epochs);
     w.u64(policy.source_fingerprint);
-    write_blob(w, out, policy.accumulator);
+    w.blob(policy.accumulator);
   }
 
   // Seal: patch the payload size in place only now that every byte is down.
@@ -285,7 +257,7 @@ ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
       policy.platform_fingerprint = r.u64();
       policy.epochs = r.u64();
       policy.source_fingerprint = r.u64();
-      policy.accumulator = read_blob(r, in, label);
+      policy.accumulator = r.blob();
     }
   } catch (const common::SerialError& e) {
     throw FleetError("shard summary '" + label + "': " + e.what());

@@ -129,7 +129,9 @@ struct CellPolicy {
   std::uint64_t platform_fingerprint = 0;  ///< hw shape fingerprint.
   std::uint64_t epochs = 0;         ///< Σ epochs trained across devices.
   std::uint64_t source_fingerprint = 0;  ///< XOR of per-device fingerprints.
-  std::string accumulator;          ///< StateMerger accumulator bytes.
+  /// StateMerger accumulator bytes; run_shard refreshes them from its live
+  /// mergers only when it writes the summary or a checkpoint.
+  std::string accumulator;
 };
 
 /// \brief One shard's sealed result/progress artifact (see file comment).

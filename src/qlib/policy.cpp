@@ -26,32 +26,6 @@ constexpr std::size_t kOffHeaderSize = 12;
 constexpr std::size_t kOffPayloadSize = 16;
 constexpr std::size_t kOffKeyFingerprint = 24;
 
-/// State blobs can exceed StateReader's string bound (a large Q-table
-/// payload), so they travel as a bare u64 length + raw bytes with their own
-/// generous sanity cap — the checkpoint blob convention.
-constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
-
-void write_blob(common::StateWriter& w, std::ostream& out,
-                const std::string& blob) {
-  w.u64(blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-}
-
-std::string read_blob(common::StateReader& r, std::istream& in,
-                      const std::string& label) {
-  const std::uint64_t n = r.u64();
-  if (n > kMaxBlob) {
-    throw QlibError("policy '" + label + "': state blob claims " +
-                    std::to_string(n) + " bytes (corrupt length)");
-  }
-  std::string blob(static_cast<std::size_t>(n), '\0');
-  in.read(blob.data(), static_cast<std::streamsize>(n));
-  if (static_cast<std::uint64_t>(in.gcount()) != n) {
-    throw QlibError("policy '" + label + "': truncated state blob");
-  }
-  return blob;
-}
-
 std::string hex16(std::uint64_t value) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -159,7 +133,7 @@ void PolicyEntry::write(std::ostream& out) const {
   w.u64(provenance.epochs_trained);
   w.u64(provenance.sources);
   w.u64(provenance.source_fingerprint);
-  write_blob(w, out, blob);
+  w.blob(blob);
 
   // Seal: patch the payload size in place only now that every byte is down.
   const std::streampos end = out.tellp();
@@ -231,7 +205,7 @@ PolicyEntry PolicyEntry::read(std::istream& in, const std::string& label) {
     entry.provenance.epochs_trained = r.u64();
     entry.provenance.sources = r.u64();
     entry.provenance.source_fingerprint = r.u64();
-    entry.blob = read_blob(r, in, label);
+    entry.blob = r.blob();
   } catch (const common::SerialError& e) {
     throw QlibError("policy '" + label + "': " + e.what());
   }

@@ -73,34 +73,6 @@ gov::EpochObservation read_observation(common::StateReader& r) {
   return obs;
 }
 
-/// Opaque state blobs can exceed StateReader's string bound (a large Q-table
-/// payload), so they travel as a bare u64 length + raw bytes with their own
-/// generous sanity cap.
-constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
-
-void write_blob(common::StateWriter& w, std::ostream& out,
-                const std::string& blob) {
-  w.u64(blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-}
-
-std::string read_blob(common::StateReader& r, std::istream& in,
-                      const std::string& label, const char* what) {
-  const std::uint64_t n = r.u64();
-  if (n > kMaxBlob) {
-    throw CheckpointError("checkpoint '" + label + "': " + what +
-                          " state blob claims " + std::to_string(n) +
-                          " bytes (corrupt length)");
-  }
-  std::string blob(static_cast<std::size_t>(n), '\0');
-  in.read(blob.data(), static_cast<std::streamsize>(n));
-  if (static_cast<std::uint64_t>(in.gcount()) != n) {
-    throw CheckpointError("checkpoint '" + label + "': truncated " +
-                          std::string(what) + " state blob");
-  }
-  return blob;
-}
-
 }  // namespace
 
 void Checkpoint::write(std::ostream& out) const {
@@ -124,8 +96,8 @@ void Checkpoint::write(std::ostream& out) const {
   write_aggregates(w, aggregates);
   w.boolean(has_last);
   if (has_last) write_observation(w, last);
-  write_blob(w, out, governor_state);
-  write_blob(w, out, platform_state);
+  w.blob(governor_state);
+  w.blob(platform_state);
 
   // Seal: patch the payload size in place only now that every byte is down.
   const std::streampos end = out.tellp();
@@ -190,8 +162,8 @@ Checkpoint Checkpoint::read(std::istream& in, const std::string& label) {
     ck.aggregates.application = ck.application;
     ck.has_last = r.boolean();
     if (ck.has_last) ck.last = read_observation(r);
-    ck.governor_state = read_blob(r, in, label, "governor");
-    ck.platform_state = read_blob(r, in, label, "platform");
+    ck.governor_state = r.blob();
+    ck.platform_state = r.blob();
   } catch (const common::SerialError& e) {
     throw CheckpointError("checkpoint '" + label + "': " + e.what());
   }

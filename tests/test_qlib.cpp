@@ -19,6 +19,7 @@
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/summary.hpp"
+#include "gov/merge.hpp"
 #include "hw/platform.hpp"
 #include "qlib/library.hpp"
 #include "qlib/policy.hpp"
@@ -304,6 +305,21 @@ TEST(MergeAlgebra, AssociativeAndOrderInvariant) {
   EXPECT_EQ(grouped.provenance.sources, 3u);
   EXPECT_EQ(grouped.provenance.source_fingerprint,
             flat.provenance.source_fingerprint);
+}
+
+TEST(MergeAlgebra, LoadedAccumulatorReserialisesToTheSameBytes) {
+  // A resumed fleet shard rebuilds each cell's merger from its checkpointed
+  // accumulator and writes that merger's accumulator() into the next
+  // summary, so a cell no device touches after the resume must come back
+  // byte for byte.
+  auto platform = hw::Platform::odroid_xu3_a15();
+  const std::string bytes = merge_entries({train_leaf(*platform, "rtm", 1, 11),
+                                           train_leaf(*platform, "rtm", 2, 12)})
+                                .blob;
+  auto merger = sim::make_governor("rtm", 0)->make_state_merger();
+  ASSERT_NE(merger, nullptr);
+  merger->add_accumulator(bytes);
+  EXPECT_EQ(merger->accumulator(), bytes);
 }
 
 TEST(MergeAlgebra, SelfMergeLeavesTheDecisionPolicyUnchanged) {
