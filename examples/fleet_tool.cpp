@@ -12,6 +12,9 @@
 ///              devices-per-cell=8 frames=200 [seed=42] [stream=1]
 ///              [shards=4] [workers=4] [retries=2] [out=fleet-out]
 ///              [checkpoint-every=0]   worker checkpoint cadence in devices
+///              [fail-after=0]         test hook: kill every shard's first
+///                                     attempt after this many devices, so
+///                                     the retry resumes from its checkpoint
 ///              [report=report.csv]    write the population report CSV here
 ///              [max-rss-mb=0]         fail if peak RSS (self+children)
 ///                                     exceeds this bound (0 = no check)
@@ -88,7 +91,8 @@ int main(int argc, char** argv) {
       std::cerr << "Usage: fleet_tool governors=ondemand,rtm workloads=h264 "
                    "[fps=25] [devices-per-cell=8] [frames=200] [shards=4] "
                    "[workers=4] [retries=2] [out=fleet-out] "
-                   "[checkpoint-every=0] [report=report.csv] [max-rss-mb=0] "
+                   "[checkpoint-every=0] [fail-after=0] [report=report.csv] "
+                   "[max-rss-mb=0] "
                    "[dashboard-port-base=0]\n";
       return 2;
     }

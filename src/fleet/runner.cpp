@@ -143,9 +143,9 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
     sinks.push_back(dashboard.get());
   }
 
-  // Serialise every live merger into its cell's record, then write: the
-  // accumulators are read only from saved summaries, and re-serialising one
-  // after every device cost as much as a short device run.
+  // Serialise every live merger into its cell's record, then write. Only
+  // saved summaries read the accumulators, and serialising an rtm one costs
+  // about as much as a 100-frame device run, so it is not done per device.
   const auto save = [&](const std::string& path) {
     for (const auto& [cell, merger] : mergers) {
       summary.policies.at(cell).accumulator = merger->accumulator();
