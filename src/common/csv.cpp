@@ -1,7 +1,7 @@
 #include "common/csv.hpp"
 
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -46,15 +46,23 @@ void CsvWriter::header(const std::vector<std::string>& names) {
   write_cells(names);
 }
 
-void CsvWriter::row(const std::vector<double>& values) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (double v : values) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    cells.emplace_back(buf);
+void CsvWriter::row(std::span<const double> values) {
+  // to_chars with a precision formats as printf("%.9g") does; a cell takes
+  // at most 16 chars ("-1.23456789e-308"). Long rows flush in pieces.
+  constexpr std::size_t kCellMax = 16;
+  char buf[256];
+  char* end = buf;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (end + kCellMax + 2 > buf + sizeof buf) {
+      out_->write(buf, end - buf);
+      end = buf;
+    }
+    if (i > 0) *end++ = ',';
+    end = std::to_chars(end, buf + sizeof buf, values[i],
+                        std::chars_format::general, 9).ptr;
   }
-  write_cells(cells);
+  *end++ = '\n';
+  out_->write(buf, end - buf);
   ++rows_;
 }
 

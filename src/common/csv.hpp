@@ -8,6 +8,7 @@
 
 #include <initializer_list>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,12 @@ class CsvWriter {
   void header(std::initializer_list<std::string> names);
   /// \brief Write the header row from a vector.
   void header(const std::vector<std::string>& names);
-  /// \brief Write one data row of doubles (formatted with %.9g).
-  void row(const std::vector<double>& values);
+  /// \brief Write one data row of doubles (formatted as by "%.9g").
+  void row(std::span<const double> values);
+  /// \brief Write one data row of doubles given as a braced list.
+  void row(std::initializer_list<double> values) {
+    row(std::span<const double>(values.begin(), values.size()));
+  }
   /// \brief Write one data row of preformatted cells.
   void row_strings(const std::vector<std::string>& cells);
   /// \brief Number of data rows written so far.

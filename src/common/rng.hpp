@@ -10,6 +10,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -22,7 +24,13 @@ class StateReader;
 ///        256-bit xoshiro state. Also usable as a cheap standalone generator.
 /// \param state In/out 64-bit state, advanced by one step.
 /// \return Next 64-bit output.
-[[nodiscard]] std::uint64_t splitmix64_next(std::uint64_t& state) noexcept;
+[[nodiscard]] inline std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
+  state += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// \brief Derive the seed of stream \p stream_index from \p base_seed in
 ///        O(1), independent of any other stream's derivation.
@@ -56,25 +64,56 @@ class Rng {
   }
 
   /// \brief Next raw 64-bit output.
-  [[nodiscard]] std::uint64_t next_u64() noexcept;
+  [[nodiscard]] std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
   /// \brief UniformRandomBitGenerator call operator.
   [[nodiscard]] result_type operator()() noexcept { return next_u64(); }
 
   /// \brief Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept;
+  [[nodiscard]] double uniform() noexcept {
+    // 53 top bits -> double in [0,1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
   /// \brief Uniform double in [lo, hi).
-  [[nodiscard]] double uniform(double lo, double hi) noexcept;
+  [[nodiscard]] double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
   /// \brief Uniform integer in [lo, hi] (inclusive); requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo,
                                          std::int64_t hi) noexcept;
   /// \brief Standard normal deviate (Box–Muller, cached pair).
-  [[nodiscard]] double normal() noexcept;
+  [[nodiscard]] double normal() noexcept {
+    if (has_cached_normal_) {
+      has_cached_normal_ = false;
+      return cached_normal_;
+    }
+    // Box-Muller with guards against log(0).
+    double u1 = uniform();
+    if (u1 < 1.0e-300) u1 = 1.0e-300;
+    const double u2 = uniform();
+    const double radius = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * 3.14159265358979323846 * u2;
+    cached_normal_ = radius * std::sin(theta);
+    has_cached_normal_ = true;
+    return radius * std::cos(theta);
+  }
   /// \brief Normal deviate with the given mean and standard deviation.
-  [[nodiscard]] double normal(double mean, double stddev) noexcept;
+  [[nodiscard]] double normal(double mean, double stddev) noexcept {
+    return mean + stddev * normal();
+  }
   /// \brief Exponential deviate with the given rate (lambda > 0).
   [[nodiscard]] double exponential(double rate) noexcept;
   /// \brief Bernoulli trial returning true with probability \p p.
-  [[nodiscard]] bool bernoulli(double p) noexcept;
+  [[nodiscard]] bool bernoulli(double p) noexcept { return uniform() < p; }
   /// \brief Sample an index from an (unnormalised, non-negative) weight
   ///        vector. Returns weights.size()-1 on degenerate input.
   [[nodiscard]] std::size_t discrete(const std::vector<double>& weights) noexcept;

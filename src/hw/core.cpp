@@ -26,13 +26,6 @@ CoreEpochResult Core::run_epoch(common::Cycles work, const Opp& opp,
   return r;
 }
 
-void Core::account(common::Cycles work, common::Seconds busy_time,
-                   common::Seconds idle_time, common::Joule energy) noexcept {
-  if (work > 0) pmu_.record_active(work, busy_time);
-  if (idle_time > 0.0) pmu_.record_idle(idle_time);
-  energy_ += energy;
-}
-
 void Core::reset() noexcept {
   pmu_.reset();
   energy_ = 0.0;

@@ -48,7 +48,11 @@ class Core {
   ///        updates the PMU and energy counters exactly as run_epoch() would
   ///        for the same values, without re-deriving power terms per core.
   void account(common::Cycles work, common::Seconds busy_time,
-               common::Seconds idle_time, common::Joule energy) noexcept;
+               common::Seconds idle_time, common::Joule energy) noexcept {
+    if (work > 0) pmu_.record_active(work, busy_time);
+    if (idle_time > 0.0) pmu_.record_idle(idle_time);
+    energy_ += energy;
+  }
 
   /// \brief Core identifier (0-based).
   [[nodiscard]] std::size_t id() const noexcept { return id_; }

@@ -26,8 +26,6 @@ common::Seconds DvfsDriver::set_opp(std::size_t index) noexcept {
   return cost;
 }
 
-const Opp& DvfsDriver::current() const noexcept { return table_->at(index_); }
-
 void DvfsDriver::reset_counters() noexcept {
   transitions_ = 0;
   stall_ = 0.0;

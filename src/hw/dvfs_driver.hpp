@@ -40,7 +40,7 @@ class DvfsDriver {
   common::Seconds set_opp(std::size_t index) noexcept;
 
   /// \brief Currently applied operating point.
-  [[nodiscard]] const Opp& current() const noexcept;
+  [[nodiscard]] const Opp& current() const noexcept { return table_->at(index_); }
   /// \brief Index of the current operating point.
   [[nodiscard]] std::size_t current_index() const noexcept { return index_; }
   /// \brief Total number of actual transitions performed.

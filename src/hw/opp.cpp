@@ -50,8 +50,6 @@ OppTable OppTable::linear(std::size_t n, Hertz f_lo, Hertz f_hi, Volt v_lo,
   return OppTable(std::move(pts));
 }
 
-const Opp& OppTable::at(std::size_t index) const { return points_.at(index); }
-
 std::size_t OppTable::lowest_at_least(Hertz f_min) const noexcept {
   for (const auto& p : points_) {
     if (p.frequency >= f_min) return p.index;

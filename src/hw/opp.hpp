@@ -47,7 +47,7 @@ class OppTable {
   /// \brief Number of operating points (the RL action-space size |A|).
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
   /// \brief Point by index; throws std::out_of_range.
-  [[nodiscard]] const Opp& at(std::size_t index) const;
+  [[nodiscard]] const Opp& at(std::size_t index) const { return points_.at(index); }
   /// \brief Slowest point.
   [[nodiscard]] const Opp& min() const noexcept { return points_.front(); }
   /// \brief Fastest point.

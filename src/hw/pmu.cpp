@@ -4,19 +4,6 @@
 
 namespace prime::hw {
 
-void Pmu::record_active(common::Cycles cycles, common::Seconds busy,
-                        double ipc) noexcept {
-  snap_.cycles += cycles;
-  snap_.instructions += static_cast<std::uint64_t>(static_cast<double>(cycles) * ipc);
-  snap_.busy_time += busy;
-  snap_.ref_cycles += static_cast<common::Cycles>(busy * 24.0e6);
-}
-
-void Pmu::record_idle(common::Seconds idle) noexcept {
-  snap_.idle_time += idle;
-  snap_.ref_cycles += static_cast<common::Cycles>(idle * 24.0e6);
-}
-
 PmuDelta Pmu::delta_since(const PmuSnapshot& since) const noexcept {
   PmuDelta d;
   d.cycles = snap_.cycles - since.cycles;

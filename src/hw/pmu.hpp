@@ -48,9 +48,17 @@ class Pmu {
   /// \brief Record \p cycles of active execution taking \p busy seconds,
   ///        with an instructions-per-cycle approximation \p ipc.
   void record_active(common::Cycles cycles, common::Seconds busy,
-                     double ipc = 1.2) noexcept;
+                     double ipc = 1.2) noexcept {
+    snap_.cycles += cycles;
+    snap_.instructions += static_cast<std::uint64_t>(static_cast<double>(cycles) * ipc);
+    snap_.busy_time += busy;
+    snap_.ref_cycles += static_cast<common::Cycles>(busy * 24.0e6);
+  }
   /// \brief Record \p idle seconds of WFI.
-  void record_idle(common::Seconds idle) noexcept;
+  void record_idle(common::Seconds idle) noexcept {
+    snap_.idle_time += idle;
+    snap_.ref_cycles += static_cast<common::Cycles>(idle * 24.0e6);
+  }
 
   /// \brief Current cumulative counter values.
   [[nodiscard]] PmuSnapshot snapshot() const noexcept { return snap_; }

@@ -29,11 +29,6 @@ Watt PowerModel::leakage_base(Volt v) const noexcept {
   return v * params_.leak_i0 * std::exp(params_.leak_kv * v);
 }
 
-double PowerModel::leakage_tempf(Celsius t) const noexcept {
-  const double tempf = 1.0 + params_.leak_kt * (t - params_.leak_t0);
-  return tempf < 0.1 ? 0.1 : tempf;
-}
-
 Watt PowerModel::uncore_power(const Opp& opp) const noexcept {
   return params_.uncore_ceff * opp.voltage * opp.voltage * opp.frequency;
 }

@@ -57,7 +57,10 @@ class PowerModel {
   ///        this to keep exp() out of the per-frame path.
   [[nodiscard]] common::Watt leakage_base(common::Volt v) const noexcept;
   /// \brief The clamped temperature factor of leakage_power() at \p t.
-  [[nodiscard]] double leakage_tempf(common::Celsius t) const noexcept;
+  [[nodiscard]] double leakage_tempf(common::Celsius t) const noexcept {
+    const double tempf = 1.0 + params_.leak_kt * (t - params_.leak_t0);
+    return tempf < 0.1 ? 0.1 : tempf;
+  }
   /// \brief Cluster-shared uncore power while the cluster is clocked.
   [[nodiscard]] common::Watt uncore_power(const Opp& opp) const noexcept;
 

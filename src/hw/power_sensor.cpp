@@ -1,8 +1,5 @@
 #include "hw/power_sensor.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/serial.hpp"
 
 namespace prime::hw {
@@ -10,22 +7,6 @@ namespace prime::hw {
 PowerSensor::PowerSensor(const PowerSensorParams& params, std::uint64_t seed)
     : params_(params), rng_(seed),
       gain_(1.0 + rng_.uniform(-params.gain_error, params.gain_error)) {}
-
-common::Watt PowerSensor::sample(common::Watt true_power) noexcept {
-  double reading = true_power * gain_ + rng_.normal(0.0, params_.noise_sigma);
-  reading = std::clamp(reading, 0.0, params_.max_range);
-  if (params_.lsb > 0.0) {
-    reading = std::round(reading / params_.lsb) * params_.lsb;
-  }
-  return reading;
-}
-
-common::Watt PowerSensor::integrate(common::Watt true_power,
-                                    common::Seconds dt) noexcept {
-  const common::Watt reading = sample(true_power);
-  energy_ += reading * dt;
-  return reading;
-}
 
 void PowerSensor::save_state(common::StateWriter& out) const {
   rng_.save_state(out);

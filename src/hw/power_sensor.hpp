@@ -8,6 +8,9 @@
 /// behaviour; tests verify the error stays within the configured bounds.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -36,11 +39,22 @@ class PowerSensor {
                        std::uint64_t seed = 0xC0FFEE);
 
   /// \brief Produce one reading of the true average power \p true_power.
-  [[nodiscard]] common::Watt sample(common::Watt true_power) noexcept;
+  [[nodiscard]] common::Watt sample(common::Watt true_power) noexcept {
+    double reading = true_power * gain_ + rng_.normal(0.0, params_.noise_sigma);
+    reading = std::clamp(reading, 0.0, params_.max_range);
+    if (params_.lsb > 0.0) {
+      reading = std::round(reading / params_.lsb) * params_.lsb;
+    }
+    return reading;
+  }
 
   /// \brief Sample \p true_power over \p dt seconds and accumulate measured
   ///        energy. Returns the reading.
-  common::Watt integrate(common::Watt true_power, common::Seconds dt) noexcept;
+  common::Watt integrate(common::Watt true_power, common::Seconds dt) noexcept {
+    const common::Watt reading = sample(true_power);
+    energy_ += reading * dt;
+    return reading;
+  }
 
   /// \brief Energy integrated from readings so far.
   [[nodiscard]] common::Joule measured_energy() const noexcept { return energy_; }

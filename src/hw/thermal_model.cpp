@@ -1,24 +1,8 @@
 #include "hw/thermal_model.hpp"
 
-#include <cmath>
-
 #include "common/serial.hpp"
 
 namespace prime::hw {
-
-void ThermalModel::step(common::Watt p, common::Seconds dt) noexcept {
-  if (dt <= 0.0) return;
-  const common::Celsius target = steady_state(p);
-  if (dt != memo_dt_) {
-    memo_dt_ = dt;
-    memo_decay_ = std::exp(-dt / params_.tau);
-  }
-  temperature_ = target + (temperature_ - target) * memo_decay_;
-}
-
-common::Celsius ThermalModel::steady_state(common::Watt p) const noexcept {
-  return params_.ambient + p * params_.r_th;
-}
 
 void ThermalModel::save_state(common::StateWriter& out) const {
   out.f64(temperature_);

@@ -9,6 +9,8 @@
 /// (Section III-A) but leakage still depends on temperature, so we model it.
 #pragma once
 
+#include <cmath>
+
 #include "common/units.hpp"
 
 namespace prime::common {
@@ -37,12 +39,22 @@ class ThermalModel {
   /// \brief Advance the model by \p dt seconds with average power \p p.
   ///        Uses the exact exponential solution of the RC node, so large
   ///        epochs remain stable.
-  void step(common::Watt p, common::Seconds dt) noexcept;
+  void step(common::Watt p, common::Seconds dt) noexcept {
+    if (dt <= 0.0) return;
+    const common::Celsius target = steady_state(p);
+    if (dt != memo_dt_) {
+      memo_dt_ = dt;
+      memo_decay_ = std::exp(-dt / params_.tau);
+    }
+    temperature_ = target + (temperature_ - target) * memo_decay_;
+  }
 
   /// \brief Current die temperature.
   [[nodiscard]] common::Celsius temperature() const noexcept { return temperature_; }
   /// \brief Steady-state temperature at constant power \p p.
-  [[nodiscard]] common::Celsius steady_state(common::Watt p) const noexcept;
+  [[nodiscard]] common::Celsius steady_state(common::Watt p) const noexcept {
+    return params_.ambient + p * params_.r_th;
+  }
   /// \brief True when above the trip point (callers may throttle).
   [[nodiscard]] bool over_trip() const noexcept { return temperature_ > params_.t_max; }
   /// \brief Reset to the initial temperature.

@@ -7,28 +7,54 @@
 
 namespace prime::rtm {
 
-std::vector<double> EpdPolicy::probabilities(const hw::OppTable& opps,
-                                             double slack) const {
+namespace {
+
+// Frequencies normalised by f_max, so beta is unitless.
+void normalised_frequencies(const hw::OppTable& opps, std::vector<double>& out) {
+  const double f_max = opps.max().frequency;
+  out.resize(opps.size());
+  for (std::size_t a = 0; a < out.size(); ++a) {
+    out[a] = opps.at(a).frequency / f_max;
+  }
+}
+
+}  // namespace
+
+void EpdPolicy::fill_probabilities(const std::vector<double>& f_norm,
+                                   double slack, std::vector<double>& p) const {
   // p(a) = lambda * exp(-beta * Fnorm(a) * L), normalised. lambda (the
   // uniform 1/|A| of eq. 2) cancels in the normalisation but is kept for
-  // clarity. Frequencies are normalised by f_max so beta is unitless.
-  const std::size_t n = opps.size();
+  // clarity.
+  const std::size_t n = f_norm.size();
   const double lambda = 1.0 / static_cast<double>(n);
-  const double f_max = opps.max().frequency;
-  std::vector<double> p(n);
+  p.resize(n);
   double sum = 0.0;
   for (std::size_t a = 0; a < n; ++a) {
-    const double f_norm = opps.at(a).frequency / f_max;
-    p[a] = lambda * std::exp(-beta_ * f_norm * slack);
+    p[a] = lambda * std::exp(-beta_ * f_norm[a] * slack);
     sum += p[a];
   }
   for (auto& v : p) v /= sum;
+}
+
+std::vector<double> EpdPolicy::probabilities(const hw::OppTable& opps,
+                                             double slack) const {
+  std::vector<double> f_norm;
+  normalised_frequencies(opps, f_norm);
+  std::vector<double> p;
+  fill_probabilities(f_norm, slack, p);
   return p;
 }
 
 std::size_t EpdPolicy::sample(const hw::OppTable& opps, double slack,
                               common::Rng& rng) const {
-  return rng.discrete(probabilities(opps, slack));
+  // The cache is keyed on the table's points, not its address: a table that
+  // reuses a freed one's storage must not inherit its values.
+  if (cached_points_ != opps.points()) {
+    cached_points_ = opps.points();
+    normalised_frequencies(opps, cached_f_norm_);
+  }
+  fill_probabilities(cached_f_norm_, slack, scratch_);
+  return rng.discrete(scratch_);
 }
 
 std::vector<double> UpdPolicy::probabilities(const hw::OppTable& opps,
@@ -72,25 +98,6 @@ EpsilonSchedule::EpsilonSchedule(const Params& params)
   if (params_.alpha < 0.0 || params_.alpha >= 1.0) {
     throw std::invalid_argument("EpsilonSchedule: alpha must be in [0, 1)");
   }
-}
-
-void EpsilonSchedule::advance(double smoothed_payoff) noexcept {
-  ++epoch_;
-  const double boost =
-      1.0 + params_.reward_boost * (smoothed_payoff > 0.0 ? smoothed_payoff : 0.0);
-  double exponent = (1.0 - params_.alpha) * boost;
-  if (params_.decay == EpsilonDecay::kPaperEq6) {
-    exponent *= static_cast<double>(epoch_);
-  }
-  epsilon_ *= std::exp(-exponent);
-  if (epsilon_ < params_.epsilon_min) {
-    epsilon_ = params_.epsilon_min;
-    if (convergence_epoch_ == 0) convergence_epoch_ = epoch_;
-  }
-}
-
-bool EpsilonSchedule::should_explore(common::Rng& rng) const noexcept {
-  return rng.bernoulli(epsilon_);
 }
 
 bool EpsilonSchedule::converged() const noexcept {

@@ -14,6 +14,7 @@
 /// decay of eq. (6): eps_{i+1} = eps_i * exp(-(1 - alpha)).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,6 +42,9 @@ class ExplorationPolicy {
 };
 
 /// \brief The paper's slack-directed exponential distribution (eq. 2).
+///
+/// sample() reuses scratch space and caches f / f_max per table, so it is
+/// not safe to call concurrently on one instance (each governor owns one).
 class EpdPolicy final : public ExplorationPolicy {
  public:
   /// \brief Construct with exponent constant \p beta (eq. 2's beta). Larger
@@ -56,7 +60,13 @@ class EpdPolicy final : public ExplorationPolicy {
   [[nodiscard]] double beta() const noexcept { return beta_; }
 
  private:
+  void fill_probabilities(const std::vector<double>& f_norm, double slack,
+                          std::vector<double>& p) const;
+
   double beta_;
+  mutable std::vector<hw::Opp> cached_points_;
+  mutable std::vector<double> cached_f_norm_;
+  mutable std::vector<double> scratch_;
 };
 
 /// \brief Prior work's uniform random selection (UPD) [19][21].
@@ -128,9 +138,31 @@ class EpsilonSchedule {
   [[nodiscard]] double value() const noexcept { return epsilon_; }
   /// \brief Advance one decision epoch. \p smoothed_payoff is the agent's
   ///        recent average pay-off; only its positive part accelerates decay.
-  void advance(double smoothed_payoff = 0.0) noexcept;
+  void advance(double smoothed_payoff = 0.0) noexcept {
+    ++epoch_;
+    const double boost =
+        1.0 + params_.reward_boost * (smoothed_payoff > 0.0 ? smoothed_payoff : 0.0);
+    double exponent = (1.0 - params_.alpha) * boost;
+    if (params_.decay == EpsilonDecay::kPaperEq6) {
+      exponent *= static_cast<double>(epoch_);
+    }
+    // At a finite, non-negative floor a factor exp(-exponent) in [0, 1] can
+    // only keep epsilon at the floor or push it below, where it is clamped
+    // straight back: skip the exp. The first clamp still runs for its epoch.
+    if (epsilon_ == params_.epsilon_min && epsilon_ >= 0.0 &&
+        std::isfinite(epsilon_) && exponent >= 0.0 && convergence_epoch_ != 0) {
+      return;
+    }
+    epsilon_ *= std::exp(-exponent);
+    if (epsilon_ < params_.epsilon_min) {
+      epsilon_ = params_.epsilon_min;
+      if (convergence_epoch_ == 0) convergence_epoch_ = epoch_;
+    }
+  }
   /// \brief Draw the explore/exploit decision for this epoch.
-  [[nodiscard]] bool should_explore(common::Rng& rng) const noexcept;
+  [[nodiscard]] bool should_explore(common::Rng& rng) const noexcept {
+    return rng.bernoulli(epsilon_);
+  }
   /// \brief True once epsilon has decayed to the floor (exploitation phase).
   [[nodiscard]] bool converged() const noexcept;
   /// \brief Epochs advanced so far.

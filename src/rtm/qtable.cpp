@@ -82,26 +82,22 @@ void QTable::update(std::size_t s, std::size_t a, double reward,
   ++updates_;
 }
 
-std::size_t QTable::best_action(std::size_t s) const {
-  if (s >= states_) throw std::out_of_range("QTable::best_action");
-  std::size_t best = 0;
-  double best_q = q_[s * actions_];
-  for (std::size_t a = 1; a < actions_; ++a) {
-    if (q_[s * actions_ + a] > best_q) {
-      best_q = q_[s * actions_ + a];
-      best = a;
-    }
+std::size_t QTable::update_and_best_action(std::size_t s, std::size_t a,
+                                           double reward, std::size_t s_next,
+                                           double alpha, double discount) {
+  if (s >= states_ || a >= actions_ || s_next >= states_) {
+    throw std::out_of_range("QTable::update_and_best_action");
   }
-  return best;
-}
-
-double QTable::best_value(std::size_t s) const {
-  if (s >= states_) throw std::out_of_range("QTable::best_value");
-  double best_q = q_[s * actions_];
-  for (std::size_t a = 1; a < actions_; ++a) {
-    best_q = std::max(best_q, q_[s * actions_ + a]);
-  }
-  return best_q;
+  // best_value() and best_action() keep the first strict maximum, so the
+  // value update() reads is the cell of this row scan's argmax.
+  const std::size_t best = best_action(s_next);
+  double& q = q_[s * actions_ + a];
+  q = (1.0 - alpha) * q +
+      alpha * (reward + discount * q_[s_next * actions_ + best]);
+  ++visits_[s * actions_ + a];
+  ++updates_;
+  // The update rewrote a cell of row s_next only when s == s_next.
+  return s == s_next ? best_action(s_next) : best;
 }
 
 std::vector<std::size_t> QTable::greedy_policy() const {

@@ -8,7 +8,9 @@
 /// resident in the OS.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,12 +43,36 @@ class QTable {
   ///        Also increments the (s, a) visit counter.
   void update(std::size_t s, std::size_t a, double reward, std::size_t s_next,
               double alpha, double discount);
+  /// \brief update(), then best_action(s_next), from one scan of row
+  ///        s_next (two when s == s_next, since the update changed that row).
+  ///        Results and counters are bit-identical to the two calls.
+  [[nodiscard]] std::size_t update_and_best_action(
+      std::size_t s, std::size_t a, double reward, std::size_t s_next,
+      double alpha, double discount);
 
   /// \brief Greedy action argmax_a Q(s, a) (ties break toward lower index,
   ///        i.e. the slower, lower-energy OPP).
-  [[nodiscard]] std::size_t best_action(std::size_t s) const;
+  [[nodiscard]] std::size_t best_action(std::size_t s) const {
+    if (s >= states_) throw std::out_of_range("QTable::best_action");
+    std::size_t best = 0;
+    double best_q = q_[s * actions_];
+    for (std::size_t a = 1; a < actions_; ++a) {
+      if (q_[s * actions_ + a] > best_q) {
+        best_q = q_[s * actions_ + a];
+        best = a;
+      }
+    }
+    return best;
+  }
   /// \brief max_a Q(s, a).
-  [[nodiscard]] double best_value(std::size_t s) const;
+  [[nodiscard]] double best_value(std::size_t s) const {
+    if (s >= states_) throw std::out_of_range("QTable::best_value");
+    double best_q = q_[s * actions_];
+    for (std::size_t a = 1; a < actions_; ++a) {
+      best_q = std::max(best_q, q_[s * actions_ + a]);
+    }
+    return best_q;
+  }
   /// \brief Greedy action for every state (the exploited policy).
   [[nodiscard]] std::vector<std::size_t> greedy_policy() const;
 

@@ -52,7 +52,8 @@ std::size_t RtmGovernor::decide(const gov::DecisionContext& ctx,
   }
   last_period_ = ctx.period;
 
-  std::size_t state = discretizer_.state_of(1.0, 0.0);  // pessimistic default
+  std::size_t state = 0;
+  std::optional<std::size_t> greedy;
   if (last) {
     // (1) Pay-off for the completed interval (eq. 4 over eq. 5's L).
     const common::Seconds t_ovh =
@@ -65,16 +66,20 @@ std::size_t RtmGovernor::decide(const gov::DecisionContext& ctx,
     const double w01 = workload_coordinate(ctx, *last);
     state = discretizer_.state_of(w01, slack_avg);
 
-    // (2) Q-table update for the state-action chosen at t_{i-1} (eq. 3).
+    // (2) Q-table update for the state-action chosen at t_{i-1} (eq. 3);
+    //     its scan of the new state's row also yields the greedy action.
     if (has_last_) {
-      qtable_->update(last_state_, last_action_, payoff, state,
-                      params_.learning_rate, params_.discount);
+      greedy = qtable_->update_and_best_action(
+          last_state_, last_action_, payoff, state, params_.learning_rate,
+          params_.discount);
     }
 
     // Smoothed pay-off drives the adaptive part of the eq. (6) schedule.
     smoothed_payoff_ = has_last_
                            ? 0.1 * payoff + 0.9 * smoothed_payoff_
                            : payoff;
+  } else {
+    state = discretizer_.state_of(1.0, 0.0);  // pessimistic default
   }
 
   // (3b) Action selection: explore with probability eps, exploit otherwise.
@@ -83,7 +88,7 @@ std::size_t RtmGovernor::decide(const gov::DecisionContext& ctx,
     action = policy_->sample(*ctx.opps, slack_.average_slack(), rng_);
     ++explorations_;
   } else {
-    action = qtable_->best_action(state);
+    action = greedy ? *greedy : qtable_->best_action(state);
   }
   epsilon_.advance(smoothed_payoff_);
 

@@ -68,10 +68,11 @@ void write_series_header(common::CsvWriter& writer) {
 }
 
 void write_series_row(common::CsvWriter& writer, const EpochRecord& record) {
-  writer.row({static_cast<double>(record.epoch),
-              static_cast<double>(record.demand),
-              common::to_mhz(record.frequency), record.slack,
-              record.sensor_power, common::to_mj(record.energy)});
+  const double cells[] = {static_cast<double>(record.epoch),
+                          static_cast<double>(record.demand),
+                          common::to_mhz(record.frequency), record.slack,
+                          record.sensor_power, common::to_mj(record.energy)};
+  writer.row(cells);
 }
 
 // --- CsvSink -----------------------------------------------------------------

@@ -2,9 +2,15 @@
 /// \brief Unit tests for CSV writing and parsing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/csv.hpp"
+#include "common/rng.hpp"
 
 namespace prime::common {
 namespace {
@@ -33,6 +39,61 @@ TEST(CsvWriter, HighPrecisionDoubles) {
   w.header({"v"});
   w.row({123456789.123});
   EXPECT_NE(out.str().find("123456789"), std::string::npos);
+}
+
+/// The printf("%.9g") row the writer's to_chars formatting must reproduce.
+std::string printf_row(const std::vector<double>& values) {
+  std::string row;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.9g", values[i]);
+    if (i > 0) row += ',';
+    row += buf;
+  }
+  return row + '\n';
+}
+
+TEST(CsvWriter, RowBytesMatchPrintfG9) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  constexpr double kNormMin = std::numeric_limits<double>::min();
+  const std::vector<std::vector<double>> rows = {
+      {0.0, -0.0},
+      {kInf, -kInf},
+      {kNan, -kNan, std::copysign(kNan, -1.0), std::copysign(kNan, 1.0)},
+      {kDenormMin, -kDenormMin, kNormMin - kDenormMin, kNormMin / 3.0},
+      {9007199254740993.0, 9007199254740992.0, -9007199254740993.0},
+      {1e300, 1e-300, -1e300, -1e-300},
+      {std::numeric_limits<double>::max(), -std::numeric_limits<double>::max()},
+      {123456789.123, 0.1, 1e-5, 1e-4, 999999999.5, 1234567890.0},
+      {-1.23456789e-308, -0.000123456789},
+      {}};
+  for (const auto& values : rows) {
+    std::ostringstream out;
+    CsvWriter w(out);
+    w.row(values);
+    EXPECT_EQ(out.str(), printf_row(values));
+  }
+}
+
+TEST(CsvWriter, RandomBitPatternsAndLongRowsMatchPrintfG9) {
+  // Random bit patterns reach every exponent; a 200-cell row is longer than
+  // the writer's stack buffer and must flush in pieces with the same bytes.
+  Rng rng(7);
+  for (const std::size_t cells : {1u, 6u, 17u, 200u}) {
+    for (int rep = 0; rep < 50; ++rep) {
+      std::vector<double> values(cells);
+      for (double& v : values) {
+        const std::uint64_t bits = rng.next_u64();
+        std::memcpy(&v, &bits, sizeof v);
+      }
+      std::ostringstream out;
+      CsvWriter w(out);
+      w.row(values);
+      ASSERT_EQ(out.str(), printf_row(values)) << cells << " cells";
+    }
+  }
 }
 
 TEST(ParseCsv, RoundTrip) {

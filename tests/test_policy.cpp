@@ -2,10 +2,16 @@
 /// \brief Unit tests for EPD/UPD exploration (eq. 2) and the eq. (6) schedule.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/serial.hpp"
 #include "rtm/policy.hpp"
 
 namespace prime::rtm {
@@ -173,6 +179,173 @@ TEST(EpsilonSchedule, ResetRestores) {
   EXPECT_DOUBLE_EQ(s.value(), s.params().epsilon0);
   EXPECT_EQ(s.epoch(), 0u);
   EXPECT_EQ(s.convergence_epoch(), 0u);
+}
+
+// --- The floor short-circuit of EpsilonSchedule::advance ---------------------
+
+/// EpsilonSchedule::advance as it was before the floor short-circuit: every
+/// call multiplies by exp(-exponent), then clamps.
+struct ReferenceEpsilon {
+  EpsilonSchedule::Params params;
+  double epsilon;
+  std::size_t epoch = 0;
+  std::size_t convergence_epoch = 0;
+
+  explicit ReferenceEpsilon(const EpsilonSchedule::Params& p)
+      : params(p), epsilon(p.epsilon0) {}
+
+  void advance(double smoothed_payoff) {
+    ++epoch;
+    const double boost =
+        1.0 + params.reward_boost * (smoothed_payoff > 0.0 ? smoothed_payoff : 0.0);
+    double exponent = (1.0 - params.alpha) * boost;
+    if (params.decay == EpsilonDecay::kPaperEq6) {
+      exponent *= static_cast<double>(epoch);
+    }
+    epsilon *= std::exp(-exponent);
+    if (epsilon < params.epsilon_min) {
+      epsilon = params.epsilon_min;
+      if (convergence_epoch == 0) convergence_epoch = epoch;
+    }
+  }
+
+  std::string state_bytes() const {
+    std::ostringstream out;
+    common::StateWriter w(out);
+    w.f64(epsilon);
+    w.size(epoch);
+    w.size(convergence_epoch);
+    return out.str();
+  }
+};
+
+std::string state_bytes(const EpsilonSchedule& s) {
+  std::ostringstream out;
+  common::StateWriter w(out);
+  s.save_state(w);
+  return out.str();
+}
+
+/// Runs 10k advance() calls on both and requires identical bits throughout.
+void expect_matches_reference(const EpsilonSchedule::Params& p,
+                              double (*payoff)(std::size_t)) {
+  EpsilonSchedule schedule(p);
+  ReferenceEpsilon reference(p);
+  for (std::size_t i = 0; i < 10000; ++i) {
+    schedule.advance(payoff(i));
+    reference.advance(payoff(i));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(schedule.value()),
+              std::bit_cast<std::uint64_t>(reference.epsilon))
+        << "call " << i;
+    ASSERT_EQ(schedule.convergence_epoch(), reference.convergence_epoch)
+        << "call " << i;
+  }
+  EXPECT_EQ(schedule.epoch(), reference.epoch);
+  EXPECT_EQ(state_bytes(schedule), reference.state_bytes());
+}
+
+double zero_payoff(std::size_t) { return 0.0; }
+double mixed_payoff(std::size_t i) {
+  static const double kCycle[] = {0.4, -0.2, 0.0, 1.5, -3.0, 0.05};
+  return kCycle[i % 6];
+}
+double nan_payoff(std::size_t i) {
+  return i % 7 == 3 ? std::numeric_limits<double>::quiet_NaN() : 0.3;
+}
+double late_positive_payoff(std::size_t i) {
+  // Zero until well past the floor, then a positive pay-off every third call.
+  return i >= 2000 && i % 3 == 0 ? 0.5 : 0.0;
+}
+double huge_payoff(std::size_t i) {
+  return i % 2 == 0 ? std::numeric_limits<double>::infinity() : 1e300;
+}
+
+TEST(EpsilonFloorShortCircuit, DefaultScheduleMatchesTheOldLoop) {
+  expect_matches_reference(EpsilonSchedule::Params{}, zero_payoff);
+  expect_matches_reference(EpsilonSchedule::Params{}, mixed_payoff);
+}
+
+TEST(EpsilonFloorShortCircuit, StartingAtTheFloorStillRecordsConvergence) {
+  // epsilon0 == epsilon_min: the first advance() must still clamp once and
+  // record its epoch; a short-circuit without the convergence guard would
+  // leave convergence_epoch at 0.
+  EpsilonSchedule::Params p;
+  p.epsilon0 = p.epsilon_min;
+  expect_matches_reference(p, zero_payoff);
+  EpsilonSchedule s(p);
+  s.advance();
+  EXPECT_EQ(s.convergence_epoch(), 1u);
+}
+
+TEST(EpsilonFloorShortCircuit, NegativeRewardBoostLiftsEpsilonOffTheFloor) {
+  // A negative exponent makes exp(-exponent) > 1: epsilon must leave the
+  // floor exactly as the old loop lets it.
+  EpsilonSchedule::Params p;
+  p.reward_boost = -5.0;
+  expect_matches_reference(p, late_positive_payoff);
+  expect_matches_reference(p, mixed_payoff);
+  p.decay = EpsilonDecay::kGeometric;
+  expect_matches_reference(p, late_positive_payoff);
+}
+
+TEST(EpsilonFloorShortCircuit, NanAndHugePayoffs) {
+  EpsilonSchedule::Params p;
+  expect_matches_reference(p, nan_payoff);
+  expect_matches_reference(p, huge_payoff);
+  p.decay = EpsilonDecay::kGeometric;
+  expect_matches_reference(p, nan_payoff);
+}
+
+TEST(EpsilonFloorShortCircuit, ZeroNegativeAndInfiniteFloors) {
+  EpsilonSchedule::Params p;
+  for (const double floor : {0.0, -0.0}) {
+    p.epsilon_min = floor;
+    expect_matches_reference(p, mixed_payoff);
+  }
+  // A negative floor: epsilon * exp(-x) rises towards 0 from below it.
+  p.epsilon0 = -1.0;
+  p.epsilon_min = -0.5;
+  expect_matches_reference(p, mixed_payoff);
+  // An infinite floor: inf * exp(-huge) = inf * 0 is NaN in the old loop.
+  p.epsilon0 = 1.0;
+  p.epsilon_min = std::numeric_limits<double>::infinity();
+  expect_matches_reference(p, huge_payoff);
+}
+
+// --- The allocation-free EPD sample ------------------------------------------
+
+std::string rng_bytes(const common::Rng& rng) {
+  std::ostringstream out;
+  common::StateWriter w(out);
+  rng.save_state(w);
+  return out.str();
+}
+
+TEST(EpdSample, MatchesDiscreteOverProbabilitiesAcrossTables) {
+  // Alternating tables force the per-table f / f_max cache to refill; the
+  // two 19-point tables differ only in their frequencies.
+  const hw::OppTable xu3 = hw::OppTable::odroid_xu3_a15();
+  const hw::OppTable flat19 = hw::OppTable::linear(19, 3.0e8, 1.7e9, 0.9, 1.3);
+  const hw::OppTable small = hw::OppTable::linear(5, 2.0e8, 1.4e9, 0.9, 1.2);
+  const hw::OppTable* const tables[] = {&xu3, &flat19, &xu3, &small, &small,
+                                        &flat19};
+  const double slacks[] = {-0.7, -0.1, -0.0, 0.0, 0.05, 0.8};
+  for (const double beta : {3.0, 0.5}) {
+    const EpdPolicy policy(beta);
+    common::Rng sampled(11);
+    common::Rng reference(11);
+    for (int round = 0; round < 40; ++round) {
+      for (const hw::OppTable* table : tables) {
+        for (const double slack : slacks) {
+          const std::size_t got = policy.sample(*table, slack, sampled);
+          const std::size_t want =
+              reference.discrete(policy.probabilities(*table, slack));
+          ASSERT_EQ(got, want) << "beta " << beta << " slack " << slack;
+          ASSERT_EQ(rng_bytes(sampled), rng_bytes(reference));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

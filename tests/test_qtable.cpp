@@ -2,6 +2,14 @@
 /// \brief Unit tests for the Q-table and the eq. (3) Bellman update.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "rtm/qtable.hpp"
 
@@ -184,6 +192,110 @@ TEST_P(QTableContraction, ValuesStayBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Discounts, QTableContraction,
                          ::testing::Values(0.1, 0.5, 0.9));
+
+// --- update_and_best_action == update() then best_action() -------------------
+
+/// How the table's cells (and the rewards) are filled.
+enum class Fill { kRandom, kTies, kSignedZeros, kNanFirst, kNanInside };
+
+/// states x actions.
+using Shape = std::pair<std::size_t, std::size_t>;
+
+/// (shape, fill, whether every update has s == s_next).
+class QTableFusedGrid
+    : public testing::TestWithParam<std::tuple<Shape, Fill, bool>> {
+ protected:
+  std::size_t states() const { return std::get<0>(GetParam()).first; }
+  std::size_t actions() const { return std::get<0>(GetParam()).second; }
+  Fill fill() const { return std::get<1>(GetParam()); }
+  bool self_loop() const { return std::get<2>(GetParam()); }
+
+  double draw(common::Rng& rng) const {
+    switch (fill()) {
+      case Fill::kTies:
+        return static_cast<double>(rng.uniform_int(-1, 1));
+      case Fill::kSignedZeros:
+        return rng.bernoulli(0.5) ? 0.0 : -0.0;
+      default:
+        return rng.uniform(-1.0, 1.0);
+    }
+  }
+
+  QTable make_table(common::Rng& rng) const {
+    QTable t(states(), actions());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t s = 0; s < states(); ++s) {
+      for (std::size_t a = 0; a < actions(); ++a) t.set_q(s, a, draw(rng));
+      if (fill() == Fill::kNanFirst) t.set_q(s, 0, nan);
+      if (fill() == Fill::kNanInside) t.set_q(s, actions() / 2, nan);
+    }
+    return t;
+  }
+};
+
+void expect_same_bits(const QTable& a, const QTable& b) {
+  ASSERT_EQ(a.total_updates(), b.total_updates());
+  for (std::size_t s = 0; s < a.states(); ++s) {
+    for (std::size_t x = 0; x < a.actions(); ++x) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.q(s, x)),
+                std::bit_cast<std::uint64_t>(b.q(s, x)))
+          << "cell (" << s << ", " << x << ")";
+      ASSERT_EQ(a.visits(s, x), b.visits(s, x));
+    }
+  }
+}
+
+TEST_P(QTableFusedGrid, MatchesUpdateThenBestAction) {
+  common::Rng rng(states() * 131 + actions());
+  QTable fused = make_table(rng);
+  QTable reference = fused;
+  for (int step = 0; step < 400; ++step) {
+    const auto s = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(states()) - 1));
+    const auto a = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(actions()) - 1));
+    const std::size_t s_next =
+        self_loop() ? s : (s + 1 + step % (states() - 1)) % states();
+    const double reward = draw(rng);
+    const double alpha = step % 3 == 0 ? 1.0 : 0.3;
+    const double discount = step % 5 == 0 ? 0.0 : 0.9;
+    const std::size_t got =
+        fused.update_and_best_action(s, a, reward, s_next, alpha, discount);
+    reference.update(s, a, reward, s_next, alpha, discount);
+    ASSERT_EQ(got, reference.best_action(s_next)) << "step " << step;
+    expect_same_bits(fused, reference);
+  }
+}
+
+TEST_P(QTableFusedGrid, BoundsCheckedLikeUpdate) {
+  QTable t(states(), actions());
+  EXPECT_THROW((void)t.update_and_best_action(states(), 0, 0.0, 0, 0.5, 0.9),
+               std::out_of_range);
+  EXPECT_THROW((void)t.update_and_best_action(0, actions(), 0.0, 0, 0.5, 0.9),
+               std::out_of_range);
+  EXPECT_THROW((void)t.update_and_best_action(0, 0, 0.0, states(), 0.5, 0.9),
+               std::out_of_range);
+  EXPECT_EQ(t.total_updates(), 0u);
+}
+
+std::string fused_grid_name(
+    const testing::TestParamInfo<QTableFusedGrid::ParamType>& info) {
+  static const char* const kFill[] = {"random", "ties", "signed_zeros",
+                                      "nan_first", "nan_inside"};
+  const Shape shape = std::get<0>(info.param);
+  return std::to_string(shape.first) + "x" + std::to_string(shape.second) +
+         "_" + kFill[static_cast<int>(std::get<1>(info.param))] +
+         (std::get<2>(info.param) ? "_self" : "_other");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShapeFillLoop, QTableFusedGrid,
+    testing::Combine(
+        testing::Values(Shape(2, 1), Shape(2, 2), Shape(3, 5), Shape(25, 19)),
+        testing::Values(Fill::kRandom, Fill::kTies, Fill::kSignedZeros,
+                        Fill::kNanFirst, Fill::kNanInside),
+        testing::Bool()),
+    fused_grid_name);
 
 }  // namespace
 }  // namespace prime::rtm
