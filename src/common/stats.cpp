@@ -143,11 +143,14 @@ void Histogram::load_state(StateReader& in) {
   if (bins == 0 || !(hi > lo)) {
     throw SerialError("Histogram::load_state: invalid range/bin count");
   }
-  std::vector<std::size_t> counts(bins, 0);
+  // The counts grow with what was read, so a corrupt bin count fails on
+  // the short read instead of allocating what it claims.
+  std::vector<std::size_t> counts;
+  counts.reserve(std::min<std::size_t>(bins, StateReader::kVecChunk));
   std::size_t total = 0;
-  for (auto& c : counts) {
-    c = static_cast<std::size_t>(in.u64());
-    total += c;
+  while (counts.size() < bins) {
+    counts.push_back(static_cast<std::size_t>(in.u64()));
+    total += counts.back();
   }
   const std::size_t stored_total = in.size();
   if (stored_total != total) {

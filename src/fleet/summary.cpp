@@ -1,24 +1,15 @@
 #include "fleet/summary.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <utility>
-
-#include "common/binio.hpp"
+#include "common/sealed.hpp"
 #include "common/serial.hpp"
 
 namespace prime::fleet {
 
 namespace {
 
-// Header field offsets (see the layout table in summary.hpp).
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffVersion = 8;
-constexpr std::size_t kOffHeaderSize = 12;
-constexpr std::size_t kOffPayloadSize = 16;
-constexpr std::size_t kOffShardIndex = 24;
-constexpr std::size_t kOffShardCount = 32;
+constexpr common::SealedFormat kFormat{
+    kShardSummaryMagic, kShardSummaryVersion, "shard summary",
+    "shard summary", &common::throw_as<FleetError>};
 
 void write_aggregates(common::StateWriter& w, const sim::RunResult& r) {
   w.str(r.governor);
@@ -135,98 +126,36 @@ void CellStats::load_state(common::StateReader& in) {
 }
 
 void ShardSummary::write(std::ostream& out) const {
-  const std::streampos base = out.tellp();
-  std::array<unsigned char, kShardSummaryHeaderSize> header{};
-  std::copy(kShardSummaryMagic.begin(), kShardSummaryMagic.end(),
-            header.begin() + kOffMagic);
-  common::store_u32(header.data() + kOffVersion, kShardSummaryVersion);
-  common::store_u32(header.data() + kOffHeaderSize,
-                    static_cast<std::uint32_t>(kShardSummaryHeaderSize));
-  common::store_u64(header.data() + kOffPayloadSize, kShardSummaryUnsealed);
-  common::store_u64(header.data() + kOffShardIndex, shard.index);
-  common::store_u64(header.data() + kOffShardCount, shard.count);
-  out.write(reinterpret_cast<const char*>(header.data()), header.size());
-
-  common::StateWriter w(out);
-  w.u64(fingerprint);
-  w.size(shard.device_begin);
-  w.size(shard.device_end);
-  w.u64(next_device);
-  w.u64(started_at_device);
-  w.size(cells.size());
-  for (const auto& [cell_index, stats] : cells) {
-    w.u64(cell_index);
-    stats.save_state(w);
-  }
-  w.size(policies.size());
-  for (const auto& [cell_index, policy] : policies) {
-    w.u64(cell_index);
-    w.boolean(policy.mergeable);
-    w.str(policy.governor_name);
-    w.u64(policy.opp_count);
-    w.u64(policy.core_count);
-    w.u64(policy.platform_fingerprint);
-    w.u64(policy.epochs);
-    w.u64(policy.source_fingerprint);
-    w.blob(policy.accumulator);
-  }
-
-  // Seal: patch the payload size in place only now that every byte is down.
-  const std::streampos end = out.tellp();
-  const auto payload = static_cast<std::uint64_t>(
-      end - base - static_cast<std::streamoff>(kShardSummaryHeaderSize));
-  unsigned char sealed[8];
-  common::store_u64(sealed, payload);
-  out.seekp(base + static_cast<std::streamoff>(kOffPayloadSize));
-  out.write(reinterpret_cast<const char*>(sealed), sizeof(sealed));
-  out.seekp(end);
-  out.flush();
-  if (!out.good()) {
-    throw FleetError(
-        "shard summary: stream write failed while sealing (disk full?)");
-  }
+  const auto payload = [&](common::StateWriter& w) {
+    w.u64(fingerprint);
+    w.size(shard.device_begin);
+    w.size(shard.device_end);
+    w.u64(next_device);
+    w.u64(started_at_device);
+    w.size(cells.size());
+    for (const auto& [cell_index, stats] : cells) {
+      w.u64(cell_index);
+      stats.save_state(w);
+    }
+    w.size(policies.size());
+    for (const auto& [cell_index, policy] : policies) {
+      w.u64(cell_index);
+      w.boolean(policy.mergeable);
+      w.str(policy.governor_name);
+      w.u64(policy.opp_count);
+      w.u64(policy.core_count);
+      w.u64(policy.platform_fingerprint);
+      w.u64(policy.epochs);
+      w.u64(policy.source_fingerprint);
+      w.blob(policy.accumulator);
+    }
+  };
+  common::write_sealed(out, kFormat, {shard.index, shard.count}, payload);
 }
 
 ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
-  std::array<unsigned char, kShardSummaryHeaderSize> header{};
-  in.read(reinterpret_cast<char*>(header.data()), header.size());
-  if (static_cast<std::size_t>(in.gcount()) != header.size()) {
-    throw FleetError("shard summary '" + label + "': truncated header");
-  }
-  if (!std::equal(kShardSummaryMagic.begin(), kShardSummaryMagic.end(),
-                  header.begin() + kOffMagic)) {
-    throw FleetError("shard summary '" + label +
-                     "': bad magic — not a PRIME-RTM shard summary");
-  }
-  const std::uint32_t version = common::load_u32(header.data() + kOffVersion);
-  if (version != kShardSummaryVersion) {
-    throw FleetError("shard summary '" + label + "': unsupported version " +
-                     std::to_string(version) + " (this build supports " +
-                     std::to_string(kShardSummaryVersion) + ")");
-  }
-  const std::uint32_t header_size =
-      common::load_u32(header.data() + kOffHeaderSize);
-  if (header_size != kShardSummaryHeaderSize) {
-    throw FleetError("shard summary '" + label + "': header size mismatch (" +
-                     std::to_string(header_size) + ", expected " +
-                     std::to_string(kShardSummaryHeaderSize) + ")");
-  }
-  const std::uint64_t payload =
-      common::load_u64(header.data() + kOffPayloadSize);
-  if (payload == kShardSummaryUnsealed) {
-    throw FleetError("shard summary '" + label +
-                     "': unsealed — the writer never finished (torn write or "
-                     "crashed worker)");
-  }
-
   ShardSummary s;
-  s.shard.index =
-      static_cast<std::size_t>(common::load_u64(header.data() + kOffShardIndex));
-  s.shard.count =
-      static_cast<std::size_t>(common::load_u64(header.data() + kOffShardCount));
-  const std::streampos payload_start = in.tellg();
-  try {
-    common::StateReader r(in);
+  const auto payload = [&](common::StateReader& r) {
     s.fingerprint = r.u64();
     s.shard.device_begin = r.size();
     s.shard.device_end = r.size();
@@ -236,8 +165,8 @@ ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
     for (std::size_t i = 0; i < cell_count; ++i) {
       const std::uint64_t cell_index = r.u64();
       if (s.cells.count(cell_index) != 0) {
-        throw FleetError("shard summary '" + label + "': duplicate cell " +
-                         std::to_string(cell_index));
+        throw common::SerialError("duplicate cell " +
+                                  std::to_string(cell_index));
       }
       s.cells[cell_index].load_state(r);
     }
@@ -245,9 +174,8 @@ ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
     for (std::size_t i = 0; i < policy_count; ++i) {
       const std::uint64_t cell_index = r.u64();
       if (s.policies.count(cell_index) != 0) {
-        throw FleetError("shard summary '" + label +
-                         "': duplicate policy record for cell " +
-                         std::to_string(cell_index));
+        throw common::SerialError("duplicate policy record for cell " +
+                                  std::to_string(cell_index));
       }
       CellPolicy& policy = s.policies[cell_index];
       policy.mergeable = r.boolean();
@@ -259,64 +187,35 @@ ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
       policy.source_fingerprint = r.u64();
       policy.accumulator = r.blob();
     }
-  } catch (const common::SerialError& e) {
-    throw FleetError("shard summary '" + label + "': " + e.what());
-  }
-  const auto consumed = static_cast<std::uint64_t>(in.tellg() - payload_start);
-  if (consumed != payload) {
-    throw FleetError("shard summary '" + label +
-                     "': payload size mismatch (header promises " +
-                     std::to_string(payload) + " bytes, parsed " +
-                     std::to_string(consumed) + ") — truncated or trailing "
-                     "bytes");
-  }
-  // Anything after the sealed payload is not ours: reject rather than ignore.
-  in.peek();
-  if (!in.eof()) {
-    throw FleetError("shard summary '" + label +
-                     "': trailing bytes after the sealed payload");
-  }
+  };
+  const common::SealedWords words =
+      common::read_sealed(in, kFormat, label, payload);
+  s.shard.index = static_cast<std::size_t>(words[0]);
+  s.shard.count = static_cast<std::size_t>(words[1]);
   if (s.shard.device_end < s.shard.device_begin ||
       s.next_device < s.shard.device_begin ||
       s.next_device > s.shard.device_end ||
       s.started_at_device < s.shard.device_begin ||
       s.started_at_device > s.next_device) {
-    throw FleetError("shard summary '" + label +
-                     "': inconsistent device range [" +
-                     std::to_string(s.shard.device_begin) + ", " +
-                     std::to_string(s.shard.device_end) + ") with progress " +
-                     std::to_string(s.next_device));
+    kFormat.reject(label, "inconsistent device range [" +
+                              std::to_string(s.shard.device_begin) + ", " +
+                              std::to_string(s.shard.device_end) +
+                              ") with progress " +
+                              std::to_string(s.next_device));
   }
   return s;
 }
 
 void ShardSummary::save_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw FleetError("shard summary: cannot open '" + tmp +
-                       "' for writing (does the parent directory exist?)");
-    }
-    write(out);
-    out.close();
-    if (!out) {
-      throw FleetError("shard summary: closing '" + tmp + "' failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw FleetError("shard summary: cannot rename '" + tmp + "' over '" +
-                     path + "'");
-  }
+  common::save_sealed_file(path, kFormat,
+                           [&](std::ostream& out) { write(out); });
 }
 
 ShardSummary ShardSummary::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw FleetError("shard summary '" + path + "': cannot open for reading");
-  }
-  return read(in, path);
+  ShardSummary s;
+  common::load_sealed_file(path, kFormat,
+                           [&](std::istream& in) { s = read(in, path); });
+  return s;
 }
 
 std::string shard_summary_path(const std::string& out_dir,

@@ -20,16 +20,13 @@
 ///   - `shard-<i>.ckpt` — mid-shard progress at a device boundary, what a
 ///     relaunched worker resumes from after a crash or kill.
 ///
-/// On-disk layout (version 2; little-endian, 64 B header + sealed payload):
+/// Both are sealed files (common/sealed.hpp: 64 B header, sealed payload,
+/// tmp+rename saves, so a torn artifact is detectable, never silently
+/// partial), magic "PRIMEFS\0", version 2, with two header words:
 ///
-///     offset size header field
-///          0    8 magic "PRIMEFS\0"
-///          8    4 u32 format version (2)
-///         12    4 u32 header size (64)
-///         16    8 u64 payload size — kShardSummaryUnsealed until sealed
+///     offset size header word
 ///         24    8 u64 shard index
 ///         32    8 u64 shard count
-///         40   24 reserved (0)
 ///
 /// The payload (common::StateWriter) carries the population fingerprint,
 /// the device range, progress counters, the per-cell stats and — since
@@ -37,10 +34,9 @@
 /// gov::StateMerger accumulator of every trained governor state the shard
 /// folded, so the driver can merge shards into fleet `.qpol` policies and a
 /// killed/retried worker resumes its accumulation bit-identically from the
-/// same sealed artifact as its statistics. Files are
-/// written to `<path>.tmp` and atomically renamed, and the payload size is
-/// patched in only after the last byte ("sealing") — exactly the `.ckpt`
-/// discipline, so a torn artifact is detectable, never silently partial.
+/// same sealed artifact as its statistics. Besides the envelope checks,
+/// reading rejects duplicate cell or policy records and an inconsistent
+/// device range.
 #pragma once
 
 #include <array>
@@ -62,10 +58,6 @@ inline constexpr std::array<unsigned char, 8> kShardSummaryMagic = {
 /// \brief The format version this build reads and writes. Version 2 added
 ///        the per-cell policy accumulator records.
 inline constexpr std::uint32_t kShardSummaryVersion = 2;
-/// \brief Fixed header size; the payload starts here.
-inline constexpr std::size_t kShardSummaryHeaderSize = 64;
-/// \brief Payload-size sentinel meaning "write still in progress / torn".
-inline constexpr std::uint64_t kShardSummaryUnsealed = ~std::uint64_t{0};
 
 /// \brief Error thrown by the fleet layer: malformed or mismatched shard
 ///        artifacts, incomplete coverage at merge time, worker failures the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -218,6 +219,11 @@ void QTable::load_state(common::StateReader& in) {
   const std::size_t actions = in.size();
   if (states == 0 || actions == 0) {
     throw common::SerialError("QTable state: zero dimension");
+  }
+  if (states > std::numeric_limits<std::size_t>::max() / actions) {
+    throw common::SerialError("QTable state: dimensions " +
+                              std::to_string(states) + "x" +
+                              std::to_string(actions) + " overflow");
   }
   std::vector<double> q = in.vec_f64();
   const std::vector<std::uint64_t> visits = in.vec_u64();

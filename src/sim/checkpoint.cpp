@@ -1,12 +1,8 @@
 #include "sim/checkpoint.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "common/binio.hpp"
+#include "common/sealed.hpp"
 #include "common/serial.hpp"
 #include "sim/run_binding.hpp"
 
@@ -14,12 +10,9 @@ namespace prime::sim {
 
 namespace {
 
-// Header field offsets (see the layout table in checkpoint.hpp).
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffVersion = 8;
-constexpr std::size_t kOffHeaderSize = 12;
-constexpr std::size_t kOffPayloadSize = 16;
-constexpr std::size_t kOffFramePosition = 24;
+constexpr common::SealedFormat kFormat{
+    kCheckpointMagic, kCheckpointVersion, "checkpoint", "checkpoint",
+    &common::throw_as<CheckpointError>};
 
 void write_aggregates(common::StateWriter& w, const RunResult& r) {
   w.size(r.epoch_count);
@@ -76,82 +69,24 @@ gov::EpochObservation read_observation(common::StateReader& r) {
 }  // namespace
 
 void Checkpoint::write(std::ostream& out) const {
-  const std::streampos base = out.tellp();
-  std::array<unsigned char, kCheckpointHeaderSize> header{};
-  std::copy(kCheckpointMagic.begin(), kCheckpointMagic.end(),
-            header.begin() + kOffMagic);
-  common::store_u32(header.data() + kOffVersion, kCheckpointVersion);
-  common::store_u32(header.data() + kOffHeaderSize,
-                    static_cast<std::uint32_t>(kCheckpointHeaderSize));
-  common::store_u64(header.data() + kOffPayloadSize, kCheckpointUnsealed);
-  common::store_u64(header.data() + kOffFramePosition, frame_position);
-  out.write(reinterpret_cast<const char*>(header.data()), header.size());
-
-  common::StateWriter w(out);
-  w.str(governor);
-  w.str(application);
-  w.u64(opp_count);
-  w.u64(core_count);
-  w.u64(platform_fingerprint);
-  write_aggregates(w, aggregates);
-  w.boolean(has_last);
-  if (has_last) write_observation(w, last);
-  w.blob(governor_state);
-  w.blob(platform_state);
-
-  // Seal: patch the payload size in place only now that every byte is down.
-  const std::streampos end = out.tellp();
-  const auto payload = static_cast<std::uint64_t>(
-      end - base - static_cast<std::streamoff>(kCheckpointHeaderSize));
-  unsigned char sealed[8];
-  common::store_u64(sealed, payload);
-  out.seekp(base + static_cast<std::streamoff>(kOffPayloadSize));
-  out.write(reinterpret_cast<const char*>(sealed), sizeof(sealed));
-  out.seekp(end);
-  out.flush();
-  if (!out.good()) {
-    throw CheckpointError(
-        "checkpoint: stream write failed while sealing (disk full?)");
-  }
+  const auto payload = [&](common::StateWriter& w) {
+    w.str(governor);
+    w.str(application);
+    w.u64(opp_count);
+    w.u64(core_count);
+    w.u64(platform_fingerprint);
+    write_aggregates(w, aggregates);
+    w.boolean(has_last);
+    if (has_last) write_observation(w, last);
+    w.blob(governor_state);
+    w.blob(platform_state);
+  };
+  common::write_sealed(out, kFormat, {frame_position}, payload);
 }
 
 Checkpoint Checkpoint::read(std::istream& in, const std::string& label) {
-  std::array<unsigned char, kCheckpointHeaderSize> header{};
-  in.read(reinterpret_cast<char*>(header.data()), header.size());
-  if (static_cast<std::size_t>(in.gcount()) != header.size()) {
-    throw CheckpointError("checkpoint '" + label + "': truncated header");
-  }
-  if (!std::equal(kCheckpointMagic.begin(), kCheckpointMagic.end(),
-                  header.begin() + kOffMagic)) {
-    throw CheckpointError("checkpoint '" + label +
-                          "': bad magic — not a PRIME-RTM checkpoint");
-  }
-  const std::uint32_t version = common::load_u32(header.data() + kOffVersion);
-  if (version != kCheckpointVersion) {
-    throw CheckpointError("checkpoint '" + label + "': unsupported version " +
-                          std::to_string(version) + " (this build supports " +
-                          std::to_string(kCheckpointVersion) + ")");
-  }
-  const std::uint32_t header_size =
-      common::load_u32(header.data() + kOffHeaderSize);
-  if (header_size != kCheckpointHeaderSize) {
-    throw CheckpointError("checkpoint '" + label + "': header size mismatch (" +
-                          std::to_string(header_size) + ", expected " +
-                          std::to_string(kCheckpointHeaderSize) + ")");
-  }
-  const std::uint64_t payload =
-      common::load_u64(header.data() + kOffPayloadSize);
-  if (payload == kCheckpointUnsealed) {
-    throw CheckpointError("checkpoint '" + label +
-                          "': unsealed — the writer never finished (torn "
-                          "write or crashed producer)");
-  }
-
   Checkpoint ck;
-  ck.frame_position = common::load_u64(header.data() + kOffFramePosition);
-  const std::streampos payload_start = in.tellg();
-  try {
-    common::StateReader r(in);
+  const auto payload = [&](common::StateReader& r) {
     ck.governor = r.str();
     ck.application = r.str();
     ck.opp_count = r.u64();
@@ -164,55 +99,21 @@ Checkpoint Checkpoint::read(std::istream& in, const std::string& label) {
     if (ck.has_last) ck.last = read_observation(r);
     ck.governor_state = r.blob();
     ck.platform_state = r.blob();
-  } catch (const common::SerialError& e) {
-    throw CheckpointError("checkpoint '" + label + "': " + e.what());
-  }
-  const auto consumed =
-      static_cast<std::uint64_t>(in.tellg() - payload_start);
-  if (consumed != payload) {
-    throw CheckpointError(
-        "checkpoint '" + label + "': payload size mismatch (header promises " +
-        std::to_string(payload) + " bytes, parsed " +
-        std::to_string(consumed) + ") — truncated or trailing bytes");
-  }
-  // Anything after the sealed payload is not ours: reject rather than ignore.
-  in.peek();
-  if (!in.eof()) {
-    throw CheckpointError("checkpoint '" + label +
-                          "': trailing bytes after the sealed payload");
-  }
+  };
+  ck.frame_position = common::read_sealed(in, kFormat, label, payload)[0];
   return ck;
 }
 
 void Checkpoint::save_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw CheckpointError("checkpoint: cannot open '" + tmp +
-                            "' for writing (does the parent directory "
-                            "exist?)");
-    }
-    write(out);
-    out.close();
-    if (!out) {
-      throw CheckpointError("checkpoint: closing '" + tmp + "' failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw CheckpointError("checkpoint: cannot rename '" + tmp + "' over '" +
-                          path + "'");
-  }
+  common::save_sealed_file(path, kFormat,
+                           [&](std::ostream& out) { write(out); });
 }
 
 Checkpoint Checkpoint::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw CheckpointError("checkpoint '" + path + "': cannot open for "
-                          "reading");
-  }
-  return read(in, path);
+  Checkpoint ck;
+  common::load_sealed_file(path, kFormat,
+                           [&](std::istream& in) { ck = read(in, path); });
+  return ck;
 }
 
 // --- CheckpointSink ----------------------------------------------------------

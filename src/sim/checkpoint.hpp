@@ -12,25 +12,21 @@
 /// **bit-identical** to one that never stopped, pinned per registered
 /// governor by the differential tests in tests/test_checkpoint.cpp.
 ///
-/// On-disk layout (version 2; little-endian, 64 B header + sealed payload):
+/// A `.ckpt` is a sealed file (common/sealed.hpp: 64 B header, sealed
+/// payload, tmp+rename saves), magic "PRIMECK\0", version 2, with one
+/// header word:
 ///
-///     offset size header field
-///          0    8 magic "PRIMECK\0"
-///          8    4 u32 format version (2)
-///         12    4 u32 header size (64)
-///         16    8 u64 payload size — kCheckpointUnsealed until sealed
+///     offset size header word
 ///         24    8 u64 frame position (epochs executed before the snapshot)
-///         32   32 reserved (0)
 ///
-/// The payload (common::StateWriter encoding) carries, in order: governor
-/// display name, application name, platform shape (OPP count, core count and
-/// — since version 2 — the hw::Platform::shape_fingerprint over the full V-F
+/// The payload carries, in order: governor display name,
+/// application name, platform shape (OPP count, core count and — since
+/// version 2 — the hw::Platform::shape_fingerprint over the full V-F
 /// table), the RunResult aggregates, the optional last EpochObservation,
-/// then the length-prefixed opaque governor and platform state blobs. Like the `.bt` trace, the payload size is patched
-/// into the header only after every payload byte is written ("sealing"), and
-/// files are written to a temporary name and atomically renamed — a producer
-/// killed mid-write leaves the previous checkpoint intact, and a torn file is
-/// rejected with a specific error instead of resuming from garbage.
+/// then the length-prefixed opaque governor and platform state blobs. A
+/// producer killed mid-write leaves the previous checkpoint intact, and a
+/// torn file is rejected with a specific error instead of resuming from
+/// garbage.
 ///
 /// Identity is enforced on load+resume: the stored governor and application
 /// names must match the resuming run exactly (resuming `shen-rl-upd` state
@@ -56,10 +52,6 @@ inline constexpr std::array<unsigned char, 8> kCheckpointMagic = {
 /// \brief The format version this build reads and writes. Version 2 added
 ///        the platform shape fingerprint to the payload.
 inline constexpr std::uint32_t kCheckpointVersion = 2;
-/// \brief Fixed header size; the payload starts here.
-inline constexpr std::size_t kCheckpointHeaderSize = 64;
-/// \brief Payload-size sentinel meaning "write still in progress / torn".
-inline constexpr std::uint64_t kCheckpointUnsealed = ~std::uint64_t{0};
 
 /// \brief Error thrown on malformed, incompatible, torn or mismatched
 ///        checkpoints. Messages name the offending file and expectation.

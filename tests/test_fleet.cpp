@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "fleet/driver.hpp"
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/summary.hpp"
+#include "support/format_artefacts.hpp"
 
 namespace prime::fleet {
 namespace {
@@ -337,44 +339,6 @@ TEST(ShardSummaryFile, RoundTripsExactly) {
             original.cells.at(1).run.epoch_count);
 }
 
-TEST(ShardSummaryFile, RejectsCorruptFiles) {
-  const PopulationSpec pop = tiny_population();
-  const std::string dir = temp_dir("fsum-corrupt");
-  const std::string path = dir + "/s.fsum";
-  sample_summary(pop).save_file(path);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
-
-  const auto rewrite_and_expect = [&](std::string mutated,
-                                      const std::string& needle) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-    out.close();
-    try {
-      (void)ShardSummary::load_file(path);
-      ADD_FAILURE() << "expected FleetError for " << needle;
-    } catch (const FleetError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
-
-  std::string bad = bytes;
-  bad[0] = 'X';
-  rewrite_and_expect(bad, "bad magic");
-  bad = bytes;
-  bad[8] = 9;  // version low byte
-  rewrite_and_expect(bad, "unsupported version");
-  bad = bytes;
-  for (int i = 0; i < 8; ++i) bad[16 + i] = '\xFF';  // unsealed sentinel
-  rewrite_and_expect(bad, "unsealed");
-  rewrite_and_expect(bytes + "x", "trailing bytes");
-  rewrite_and_expect(bytes.substr(0, bytes.size() - 3), "truncated");
-  rewrite_and_expect(bytes.substr(0, 40), "truncated");
-}
-
 TEST(ShardSummaryFile, RejectsInconsistentProgress) {
   const PopulationSpec pop = tiny_population();
   ShardSummary s = sample_summary(pop);
@@ -382,6 +346,32 @@ TEST(ShardSummaryFile, RejectsInconsistentProgress) {
   const std::string path = temp_dir("fsum-progress") + "/s.fsum";
   s.save_file(path);
   EXPECT_THROW((void)ShardSummary::load_file(path), FleetError);
+}
+
+TEST(ShardSummaryFile, RejectsDuplicateCells) {
+  const PopulationSpec pop = tiny_population();
+  ShardSummary s = sample_summary(pop);
+  s.cells.emplace(2, s.cells.at(1));
+  const std::string path = temp_dir("fsum-duplicate") + "/s.fsum";
+  s.save_file(path);
+  // The cell records follow the 64 B header, five u64 fields and the cell
+  // count; renumber the second record (cell 2) as a second cell 1.
+  std::ostringstream first;
+  common::StateWriter w(first);
+  s.cells.at(1).save_state(w);
+  const std::size_t second_index = 64 + 6 * 8 + 8 + first.str().size();
+  std::string bytes = testing_support::read_file(path);
+  ASSERT_EQ(bytes[second_index], 2);
+  bytes[second_index] = 1;
+  testing_support::write_file(path, bytes);
+  try {
+    (void)ShardSummary::load_file(path);
+    FAIL() << "accepted a duplicate cell";
+  } catch (const FleetError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate cell 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- Runner + driver differentials -------------------------------------------

@@ -6,11 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "rtm/qtable.hpp"
 
 namespace prime::rtm {
@@ -19,6 +21,24 @@ namespace {
 TEST(QTable, RejectsZeroDimensions) {
   EXPECT_THROW(QTable(0, 5), std::invalid_argument);
   EXPECT_THROW(QTable(5, 0), std::invalid_argument);
+}
+
+TEST(QTable, LoadStateRejectsDimensionsWhoseProductOverflows) {
+  // 2^32 x 2^32 wraps to 0 in 64 bits: empty vectors would match the
+  // wrapped product and a later best_action() would read out of bounds.
+  std::ostringstream out;
+  common::StateWriter w(out);
+  w.size(std::size_t{1} << 32);
+  w.size(std::size_t{1} << 32);
+  w.vec_f64({});
+  w.vec_u64({});
+  w.size(0);
+  std::istringstream in(out.str());
+  common::StateReader r(in);
+  QTable table(2, 3);
+  EXPECT_THROW(table.load_state(r), common::SerialError);
+  EXPECT_EQ(table.states(), 2u);
+  EXPECT_EQ(table.actions(), 3u);
 }
 
 TEST(QTable, StartsZeroed) {

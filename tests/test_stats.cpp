@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -135,6 +136,25 @@ TEST(Histogram, PercentileSingleBin) {
   h.add(3.0);
   EXPECT_DOUBLE_EQ(h.percentile(0.0), 2.0);
   EXPECT_DOUBLE_EQ(h.percentile(100.0), 4.0);
+}
+
+TEST(Histogram, LoadStateRejectsBinCountsTheStreamCannotHold) {
+  // A corrupt bin count must fail on the short read, not allocate 2^61 or
+  // 2^33 counters first (std::length_error / std::bad_alloc).
+  for (const std::uint64_t bins : {std::uint64_t{1} << 61,
+                                   std::uint64_t{1} << 33}) {
+    std::ostringstream out;
+    StateWriter w(out);
+    w.f64(0.0);
+    w.f64(1.0);
+    w.u64(bins);
+    w.u64(3);  // one count, then the stream ends
+    std::istringstream in(out.str());
+    StateReader r(in);
+    Histogram h(0.0, 1.0, 4);
+    EXPECT_THROW(h.load_state(r), SerialError) << bins;
+    EXPECT_EQ(h.bins(), 4u);
+  }
 }
 
 TEST(MovingAverage, WindowEviction) {
