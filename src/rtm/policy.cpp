@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/serial.hpp"
 
@@ -97,6 +98,18 @@ EpsilonSchedule::EpsilonSchedule(const Params& params)
     : params_(params), epsilon_(params.epsilon0) {
   if (params_.alpha < 0.0 || params_.alpha >= 1.0) {
     throw std::invalid_argument("EpsilonSchedule: alpha must be in [0, 1)");
+  }
+  // A non-finite or negative epsilon never converges: an infinite floor
+  // turns NaN, a negative one is approached from below forever.
+  if (!std::isfinite(params_.epsilon0) || params_.epsilon0 < 0.0) {
+    throw std::invalid_argument(
+        "EpsilonSchedule: epsilon0 must be finite and >= 0 (got " +
+        std::to_string(params_.epsilon0) + ")");
+  }
+  if (!std::isfinite(params_.epsilon_min) || params_.epsilon_min < 0.0) {
+    throw std::invalid_argument(
+        "EpsilonSchedule: eps-min must be finite and >= 0 (got " +
+        std::to_string(params_.epsilon_min) + ")");
   }
 }
 

@@ -302,14 +302,26 @@ TEST(EpsilonFloorShortCircuit, ZeroNegativeAndInfiniteFloors) {
     p.epsilon_min = floor;
     expect_matches_reference(p, mixed_payoff);
   }
-  // A negative floor: epsilon * exp(-x) rises towards 0 from below it.
-  p.epsilon0 = -1.0;
-  p.epsilon_min = -0.5;
-  expect_matches_reference(p, mixed_payoff);
-  // An infinite floor: inf * exp(-huge) = inf * 0 is NaN in the old loop.
-  p.epsilon0 = 1.0;
-  p.epsilon_min = std::numeric_limits<double>::infinity();
-  expect_matches_reference(p, huge_payoff);
+  // A negative floor is approached from below forever and an infinite one
+  // turns NaN (inf * exp(-huge) = inf * 0): both are rejected up front, as
+  // are a negative or non-finite epsilon0. The error names the spec key.
+  const auto rejection = [](const EpsilonSchedule::Params& params) {
+    try {
+      EpsilonSchedule schedule(params);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  for (const double bad : {-0.5, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EpsilonSchedule::Params floor;
+    floor.epsilon_min = bad;
+    EXPECT_NE(rejection(floor).find("eps-min"), std::string::npos) << bad;
+    EpsilonSchedule::Params start;
+    start.epsilon0 = bad;
+    EXPECT_NE(rejection(start).find("epsilon0"), std::string::npos) << bad;
+  }
 }
 
 // --- The allocation-free EPD sample ------------------------------------------
