@@ -82,28 +82,21 @@ class Cluster {
   ///        charged to that epoch's frame time. Returns the stall incurred.
   common::Seconds set_opp(std::size_t index) noexcept;
 
-  /// \brief Execute one epoch: each core runs `work[i]` cycles (missing
-  ///        entries mean idle), within a nominal \p period. Returns full
-  ///        accounting. The epoch window extends beyond the period when the
-  ///        work overruns (deadline miss).
+  /// \brief Execute one epoch: core i runs `work[i]` base cycles (entries
+  ///        past \p work_count mean idle) within a nominal \p period, and
+  ///        the full accounting lands in \p out, whose `core_cycles` and
+  ///        `core_busy` buffers are reused across epochs. The epoch window
+  ///        extends beyond the period when the work overruns (deadline
+  ///        miss). Power terms come from the per-OPP coefficient table built
+  ///        at construction (only the leakage temperature factor is
+  ///        per-epoch). The batched engine loop calls this once per frame
+  ///        with one long-lived EpochScratch.
   ///
   /// \p mem_fraction models memory-boundedness: that fraction of the frame's
   /// execution time at \p ref_frequency is memory stalls, whose wall-clock
   /// duration does not shrink at higher f. The PMU consequently counts
   /// *effective* cycles `w * ((1-m) + m * f/f_ref)` — observed workload grows
   /// with frequency, exactly as on real cores — which is what governors see.
-  [[nodiscard]] ClusterEpochResult run_epoch(
-      const std::vector<common::Cycles>& work, common::Seconds period,
-      double mem_fraction = 0.0, common::Hertz ref_frequency = 1.0e9);
-
-  /// \brief Allocation-free form of run_epoch(): identical semantics and
-  ///        bit-identical results, but reads \p work_count base cycle counts
-  ///        from a raw row (missing entries mean idle) and writes into \p out,
-  ///        whose `core_cycles`/`core_busy` buffers are reused across epochs.
-  ///        Power terms come from the per-OPP coefficient table built at
-  ///        construction instead of being re-derived per frame (only the
-  ///        leakage temperature factor is per-epoch). The batched engine loop
-  ///        calls this once per frame with one long-lived EpochScratch.
   void run_epoch_into(const common::Cycles* work, std::size_t work_count,
                       common::Seconds period, double mem_fraction,
                       common::Hertz ref_frequency, EpochScratch& out);

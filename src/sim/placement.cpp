@@ -265,8 +265,8 @@ Placement make_placement(const std::string& spec, const hw::Platform& platform,
   if (app != nullptr && platform.domain_count() > 1) {
     // Frame 0's split is the load estimate: deterministic, and exactly the
     // shape every subsequent frame follows (workers occupy the same slots).
-    const std::vector<common::Cycles> split =
-        app->core_work(0, platform.total_cores());
+    std::vector<common::Cycles> split(platform.total_cores());
+    app->core_work_into(0, split.size(), split.data());
     weights.reserve(split.size());
     for (const common::Cycles c : split) {
       weights.push_back(static_cast<double>(c));

@@ -123,13 +123,6 @@ PerformanceRequirement Application::requirement_at(std::size_t frame) const {
   return PerformanceRequirement{fps};
 }
 
-std::vector<common::Cycles> Application::core_work(std::size_t frame,
-                                                   std::size_t cores) const {
-  std::vector<common::Cycles> work(cores, 0);
-  core_work_into(frame, cores, work.data());
-  return work;
-}
-
 void Application::core_work_into(std::size_t frame, std::size_t cores,
                                  common::Cycles* out) const {
   std::fill_n(out, cores, common::Cycles{0});

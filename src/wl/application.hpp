@@ -85,21 +85,16 @@ class Application {
     return requirement_at(frame).deadline();
   }
 
-  /// \brief Split frame \p frame's cycle demand across \p cores cores.
-  ///        Uses min(threads, cores) workers; the split is deterministic in
+  /// \brief Split frame \p frame's cycle demand across \p cores cores into
+  ///        \p out (caller-owned, at least \p cores long). Uses
+  ///        min(threads, cores) workers; the split is deterministic in
   ///        (frame, core) so replays are exact. Idle cores receive zero.
-  [[nodiscard]] std::vector<common::Cycles> core_work(std::size_t frame,
-                                                      std::size_t cores) const;
-
-  /// \brief Allocation-free core_work(): writes the identical \p cores-entry
-  ///        split into \p out (caller-owned, at least \p cores long). The
-  ///        batched engine paths call this into reused row buffers.
   void core_work_into(std::size_t frame, std::size_t cores,
                       common::Cycles* out) const;
 
   /// \brief Fill \p block with \p frames consecutive frames starting at
   ///        absolute frame \p start: per-frame deadline, per-core split over
-  ///        \p cores cores (exactly what core_work() returns per frame) and
+  ///        \p cores cores (exactly what core_work_into() writes per frame) and
   ///        the split's pre-overhead sum, plus the application mem-fraction.
   ///        Streaming applications pull the batch through
   ///        FrameSource::next_block (one virtual hop per batch, not per
@@ -113,7 +108,7 @@ class Application {
   /// \brief Memory-boundedness: the fraction of frame execution time spent
   ///        in memory stalls at the 1 GHz reference frequency. Stall time is
   ///        frequency-independent, so the PMU-visible cycle count of a frame
-  ///        grows with the operating frequency (see hw::Cluster::run_epoch).
+  ///        grows with the operating frequency (see hw::Cluster::run_epoch_into).
   [[nodiscard]] double mem_fraction() const noexcept { return mem_fraction_; }
   /// \brief Set the memory-boundedness fraction (clamped to [0, 0.9]).
   void set_mem_fraction(double m) noexcept;
@@ -159,8 +154,8 @@ class Application {
   ///        give each concurrent run its own Application.
   [[nodiscard]] const FrameDemand& demand_at(std::size_t frame) const;
 
-  /// \brief The deterministic per-(frame, worker) split shared by core_work
-  ///        and fill_block: distribute \p total cycles over \p cores entries
+  /// \brief The deterministic per-(frame, worker) split shared by
+  ///        core_work_into and fill_block: distribute \p total cycles over \p cores entries
   ///        of \p out (min(threads, cores) workers, SplitMix64 imbalance).
   ///        \p out must already be zeroed; entries past the worker count stay
   ///        untouched. Recomputes the per-worker shares in a second pass

@@ -21,7 +21,7 @@ namespace prime::wl {
 ///
 /// Row i describes absolute frame `start + i`: `periods[i]` is its deadline,
 /// `row(i)` its per-core cycle split (length `cores`, the same values
-/// Application::core_work would return), and `demand[i]` the sum of that
+/// Application::core_work_into would write), and `demand[i]` the sum of that
 /// split — the pre-overhead demand the engine reports per epoch. The split
 /// rows are mutable on purpose: the engine adds the governor's processing
 /// overhead to a row's core 0 right before running the frame, exactly as the

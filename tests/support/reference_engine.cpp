@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sim/telemetry.hpp"
+#include "support/kernel_calls.hpp"
 
 namespace prime::sim {
 
@@ -55,7 +56,8 @@ RunResult run_reference_simulation(hw::Platform& platform,
   std::optional<gov::EpochObservation> last;
   for (std::size_t i = 0; i < frames; ++i) {
     const common::Seconds period = app.deadline_at(i);
-    std::vector<common::Cycles> work = app.core_work(i, cluster.core_count());
+    std::vector<common::Cycles> work =
+        testing_support::core_work(app, i, cluster.core_count());
     const common::Cycles demand =
         std::accumulate(work.begin(), work.end(), common::Cycles{0});
 
@@ -84,7 +86,7 @@ RunResult run_reference_simulation(hw::Platform& platform,
     }
 
     const hw::ClusterEpochResult epoch =
-        cluster.run_epoch(work, period, app.mem_fraction());
+        testing_support::run_epoch(cluster, work, period, app.mem_fraction());
     const common::Watt reading =
         platform.power_sensor().integrate(epoch.avg_power, epoch.window);
 

@@ -2,8 +2,8 @@
 /// \brief The per-frame reference loop the batched engine is pinned against.
 ///
 /// The engine's pre-batching epoch loop, kept in the test tree as an
-/// independent oracle: one core_work() vector and one allocating
-/// hw::Cluster::run_epoch() per frame, no FrameBlock, no placement scatter,
+/// independent oracle: one allocating core_work() vector and one
+/// allocating run_epoch() result per frame (support/kernel_calls.hpp), no FrameBlock, no placement scatter,
 /// no shared epoch step. Differential tests compare run_simulation() against
 /// it bit for bit. Single-domain boards only, and no checkpoint, resume or
 /// warm start (std::invalid_argument otherwise) — those are engine features

@@ -9,6 +9,7 @@
 #include "wl/application.hpp"
 #include "wl/fft.hpp"
 #include "wl/frame_source.hpp"
+#include "support/kernel_calls.hpp"
 
 namespace prime::wl {
 namespace {
@@ -77,7 +78,7 @@ TEST(Application, ReplacingFrameZeroOverridesInitialFps) {
 TEST(Application, CoreWorkConservesDemand) {
   const Application app = make_app(30.0, 4, 0.2);
   for (std::size_t frame = 0; frame < 10; ++frame) {
-    const auto work = app.core_work(frame, 4);
+    const auto work = testing_support::core_work(app, frame, 4);
     const common::Cycles total =
         std::accumulate(work.begin(), work.end(), common::Cycles{0});
     // Integer rounding may lose at most `threads` cycles.
@@ -88,7 +89,7 @@ TEST(Application, CoreWorkConservesDemand) {
 
 TEST(Application, CoreWorkUsesOnlyAvailableCores) {
   const Application app = make_app(30.0, 8, 0.0);
-  const auto work = app.core_work(0, 2);
+  const auto work = testing_support::core_work(app, 0, 2);
   ASSERT_EQ(work.size(), 2u);
   EXPECT_GT(work[0], 0u);
   EXPECT_GT(work[1], 0u);
@@ -96,7 +97,7 @@ TEST(Application, CoreWorkUsesOnlyAvailableCores) {
 
 TEST(Application, FewerThreadsThanCoresLeavesIdleCores) {
   const Application app = make_app(30.0, 2, 0.0);
-  const auto work = app.core_work(0, 4);
+  const auto work = testing_support::core_work(app, 0, 4);
   ASSERT_EQ(work.size(), 4u);
   EXPECT_GT(work[0], 0u);
   EXPECT_GT(work[1], 0u);
@@ -106,7 +107,7 @@ TEST(Application, FewerThreadsThanCoresLeavesIdleCores) {
 
 TEST(Application, ZeroImbalanceSplitsEvenly) {
   const Application app = make_app(30.0, 4, 0.0);
-  const auto work = app.core_work(3, 4);
+  const auto work = testing_support::core_work(app, 3, 4);
   for (std::size_t j = 1; j < 4; ++j) {
     EXPECT_NEAR(static_cast<double>(work[j]), static_cast<double>(work[0]),
                 2.0);
@@ -117,7 +118,7 @@ TEST(Application, ImbalanceBounded) {
   const double imb = 0.3;
   const Application app = make_app(30.0, 4, imb);
   for (std::size_t frame = 0; frame < 20; ++frame) {
-    const auto work = app.core_work(frame, 4);
+    const auto work = testing_support::core_work(app, frame, 4);
     const double even = static_cast<double>(app.frame_cycles(frame)) / 4.0;
     for (const auto w : work) {
       // Normalised shares stay within ~2x the nominal imbalance envelope.
@@ -128,16 +129,16 @@ TEST(Application, ImbalanceBounded) {
 
 TEST(Application, CoreWorkDeterministicAndOrderIndependent) {
   const Application app = make_app(30.0, 4, 0.15);
-  const auto later = app.core_work(7, 4);
-  const auto earlier = app.core_work(3, 4);
-  const auto later_again = app.core_work(7, 4);
+  const auto later = testing_support::core_work(app, 7, 4);
+  const auto earlier = testing_support::core_work(app, 3, 4);
+  const auto later_again = testing_support::core_work(app, 7, 4);
   EXPECT_EQ(later, later_again);
   (void)earlier;
 }
 
 TEST(Application, ZeroCoresYieldsEmpty) {
   const Application app = make_app();
-  EXPECT_TRUE(app.core_work(0, 0).empty());
+  EXPECT_TRUE(testing_support::core_work(app, 0, 0).empty());
 }
 
 // --- Streaming mode ----------------------------------------------------------
@@ -172,7 +173,7 @@ TEST(StreamingApplication, MatchesTraceReplayFrameForFrame) {
   const Application replayed = make_app(30.0, 4, 0.1);  // generate(100, 1)
   for (std::size_t frame = 0; frame < 100; ++frame) {
     EXPECT_EQ(streamed.frame_cycles(frame), replayed.frame_cycles(frame));
-    EXPECT_EQ(streamed.core_work(frame, 4), replayed.core_work(frame, 4));
+    EXPECT_EQ(testing_support::core_work(streamed, frame, 4), testing_support::core_work(replayed, frame, 4));
   }
 }
 

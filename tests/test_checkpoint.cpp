@@ -27,6 +27,7 @@
 #include "wl/frame_source.hpp"
 #include "wl/registry.hpp"
 #include "wl/video.hpp"
+#include "support/kernel_calls.hpp"
 
 namespace prime::sim {
 namespace {
@@ -256,10 +257,10 @@ TEST(ApplicationSkip, StreamingCursorFastForwardsAndRewinds) {
   const wl::Application reference = make_streaming_app(*platform, 100);
   wl::Application skipped(reference);  // private cursor
   skipped.skip_to(42);
-  EXPECT_EQ(skipped.core_work(42, 4), reference.core_work(42, 4));
+  EXPECT_EQ(testing_support::core_work(skipped, 42, 4), testing_support::core_work(reference, 42, 4));
   // Backward skip re-creates the deterministic source.
   skipped.skip_to(7);
-  EXPECT_EQ(skipped.core_work(7, 4), reference.core_work(7, 4));
+  EXPECT_EQ(testing_support::core_work(skipped, 7, 4), testing_support::core_work(reference, 7, 4));
   // Materialised applications are random access: skip_to is a no-op.
   wl::WorkloadTrace trace =
       wl::VideoTraceGenerator::h264_football().generate(10, 3);

@@ -29,6 +29,7 @@
 #include "wl/frame_block.hpp"
 #include "wl/frame_source.hpp"
 #include "wl/trace.hpp"
+#include "support/kernel_calls.hpp"
 
 namespace prime::sim {
 namespace {
@@ -189,7 +190,7 @@ TEST(FrameBlockFill, MatchesCoreWorkAndDeadlinesForTraceApps) {
       EXPECT_EQ(block.cores, cores);
       for (std::size_t b = 0; b < n; ++b) {
         const std::size_t frame = i + b;
-        const std::vector<common::Cycles> expect = app.core_work(frame, cores);
+        const std::vector<common::Cycles> expect = testing_support::core_work(app, frame, cores);
         ASSERT_EQ(expect.size(), cores);
         for (std::size_t j = 0; j < cores; ++j) {
           EXPECT_EQ(block.row(b)[j], expect[j])
@@ -219,7 +220,7 @@ TEST(FrameBlockFill, MatchesCoreWorkForStreamingApps) {
   const wl::Application scalar(app);
   std::vector<std::vector<common::Cycles>> expect;
   for (std::size_t i = 0; i < kFrames; ++i) {
-    expect.push_back(scalar.core_work(i, kCores));
+    expect.push_back(testing_support::core_work(scalar, i, kCores));
   }
 
   const wl::Application batched(app);

@@ -4,6 +4,7 @@
 
 #include "common/config.hpp"
 #include "hw/platform.hpp"
+#include "support/kernel_calls.hpp"
 
 namespace prime::hw {
 namespace {
@@ -25,7 +26,7 @@ TEST(Platform, OppTableAddressStableAndShared) {
 TEST(Platform, ResetRestoresClusterAndSensor) {
   auto p = Platform::odroid_xu3_a15();
   (void)p->cluster().set_opp(18);
-  (void)p->cluster().run_epoch({1000000, 0, 0, 0}, 0.040);
+  (void)testing_support::run_epoch(p->cluster(), {1000000, 0, 0, 0}, 0.040);
   (void)p->power_sensor().integrate(3.0, 0.040);
   p->reset();
   EXPECT_EQ(p->cluster().current_opp_index(), 9u);
