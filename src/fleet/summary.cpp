@@ -11,30 +11,6 @@ constexpr common::SealedFormat kFormat{
     kShardSummaryMagic, kShardSummaryVersion, "shard summary",
     "shard summary", &common::throw_as<FleetError>};
 
-void write_aggregates(common::StateWriter& w, const sim::RunResult& r) {
-  w.str(r.governor);
-  w.str(r.application);
-  w.size(r.epoch_count);
-  w.f64(r.total_energy);
-  w.f64(r.measured_energy);
-  w.f64(r.total_time);
-  w.size(r.deadline_misses);
-  w.f64(r.performance_sum);
-  w.f64(r.power_sum);
-}
-
-void read_aggregates(common::StateReader& r, sim::RunResult& out) {
-  out.governor = r.str();
-  out.application = r.str();
-  out.epoch_count = r.size();
-  out.total_energy = r.f64();
-  out.measured_energy = r.f64();
-  out.total_time = r.f64();
-  out.deadline_misses = r.size();
-  out.performance_sum = r.f64();
-  out.power_sum = r.f64();
-}
-
 }  // namespace
 
 CellStats::CellStats()
@@ -101,7 +77,9 @@ double CellStats::mean_power() const noexcept {
 
 void CellStats::save_state(common::StateWriter& out) const {
   out.u64(devices);
-  write_aggregates(out, run);
+  out.str(run.governor);
+  out.str(run.application);
+  run.save_state(out);
   energy_sum.save_state(out);
   time_sum.save_state(out);
   perf_sum.save_state(out);
@@ -114,7 +92,9 @@ void CellStats::save_state(common::StateWriter& out) const {
 
 void CellStats::load_state(common::StateReader& in) {
   devices = in.u64();
-  read_aggregates(in, run);
+  run.governor = in.str();
+  run.application = in.str();
+  run.load_state(in);
   energy_sum.load_state(in);
   time_sum.load_state(in);
   perf_sum.load_state(in);

@@ -14,26 +14,6 @@ constexpr common::SealedFormat kFormat{
     kCheckpointMagic, kCheckpointVersion, "checkpoint", "checkpoint",
     &common::throw_as<CheckpointError>};
 
-void write_aggregates(common::StateWriter& w, const RunResult& r) {
-  w.size(r.epoch_count);
-  w.f64(r.total_energy);
-  w.f64(r.measured_energy);
-  w.f64(r.total_time);
-  w.size(r.deadline_misses);
-  w.f64(r.performance_sum);
-  w.f64(r.power_sum);
-}
-
-void read_aggregates(common::StateReader& r, RunResult& out) {
-  out.epoch_count = r.size();
-  out.total_energy = r.f64();
-  out.measured_energy = r.f64();
-  out.total_time = r.f64();
-  out.deadline_misses = r.size();
-  out.performance_sum = r.f64();
-  out.power_sum = r.f64();
-}
-
 void write_observation(common::StateWriter& w,
                        const gov::EpochObservation& obs) {
   w.size(obs.epoch);
@@ -75,7 +55,7 @@ void Checkpoint::write(std::ostream& out) const {
     w.u64(opp_count);
     w.u64(core_count);
     w.u64(platform_fingerprint);
-    write_aggregates(w, aggregates);
+    aggregates.save_state(w);
     w.boolean(has_last);
     if (has_last) write_observation(w, last);
     w.blob(governor_state);
@@ -92,7 +72,7 @@ Checkpoint Checkpoint::read(std::istream& in, const std::string& label) {
     ck.opp_count = r.u64();
     ck.core_count = r.u64();
     ck.platform_fingerprint = r.u64();
-    read_aggregates(r, ck.aggregates);
+    ck.aggregates.load_state(r);
     ck.aggregates.governor = ck.governor;
     ck.aggregates.application = ck.application;
     ck.has_last = r.boolean();

@@ -75,6 +75,12 @@ struct RunResult {
   ///        keeps common::ExactSum accumulators alongside.
   RunResult& merge(const RunResult& other);
 
+  /// \brief Serialise the counts and sums, not the identity labels: the
+  ///        aggregates record `.ckpt` and `.fsum` payloads share.
+  void save_state(common::StateWriter& out) const;
+  /// \brief Restore what save_state() wrote; the labels are left as-is.
+  void load_state(common::StateReader& in);
+
   /// \brief Mean of frame_time/period — the paper's normalised performance
   ///        (>1 under-performs the requirement, <1 over-performs). O(1).
   [[nodiscard]] double mean_normalized_performance() const;
