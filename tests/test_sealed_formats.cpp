@@ -10,9 +10,11 @@
 /// other exception, a crash or a sanitizer report fails the test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <tuple>
