@@ -1,6 +1,8 @@
 #include "common/rng.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/serial.hpp"
 
@@ -65,6 +67,15 @@ void Rng::load_state(StateReader& in) {
   for (std::uint64_t& word : state_) word = in.u64();
   cached_normal_ = in.f64();
   has_cached_normal_ = in.boolean();
+}
+
+void require_exploration_rate(const char* owner, const char* key,
+                              double value) {
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument(std::string(owner) + ": " + key +
+                                " must be finite and >= 0 (got " +
+                                std::to_string(value) + ")");
+  }
 }
 
 }  // namespace prime::common

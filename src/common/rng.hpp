@@ -134,4 +134,12 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
+/// \brief Throws std::invalid_argument naming \p owner and the spec \p key
+///        unless \p value is finite and >= 0 (so -0.0 passes). For the
+///        exploration probabilities (`epsilon0`, `eps-min`) fed to
+///        Rng::bernoulli: a negative floor is approached from below forever,
+///        and an infinite one turns the decayed epsilon into NaN.
+void require_exploration_rate(const char* owner, const char* key,
+                              double value);
+
 }  // namespace prime::common

@@ -157,4 +157,16 @@ std::vector<std::uint64_t> StateReader::vec_u64() {
   return read_vec<std::uint64_t, load_u64>();
 }
 
+// --- Table dimensions --------------------------------------------------------
+
+std::size_t checked_cells(std::size_t rows, std::size_t cols,
+                          const std::string& what) {
+  std::size_t cells = 0;
+  if (__builtin_mul_overflow(rows, cols, &cells)) {
+    throw SerialError(what + ": dimensions " + std::to_string(rows) + "x" +
+                      std::to_string(cols) + " overflow");
+  }
+  return cells;
+}
+
 }  // namespace prime::common

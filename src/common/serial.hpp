@@ -106,4 +106,10 @@ class StateReader {
   std::istream* in_;
 };
 
+/// \brief rows x cols of a stored table, or SerialError naming \p what when
+///        the product does not fit std::size_t: a corrupt dimension must not
+///        wrap around to the length of a short (or empty) value vector.
+[[nodiscard]] std::size_t checked_cells(std::size_t rows, std::size_t cols,
+                                        const std::string& what);
+
 }  // namespace prime::common

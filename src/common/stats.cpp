@@ -164,8 +164,12 @@ void Histogram::load_state(StateReader& in) {
 }
 
 void ExactSum::add(double x) {
-  if (!std::isfinite(x)) {
-    throw std::invalid_argument("ExactSum::add: value must be finite");
+  if (!addable(x)) {
+    // |x| >= 2^77 (~1.5e23) would shift the mantissa past the accumulator's
+    // headroom. Population metrics never get near this.
+    throw std::invalid_argument(std::isfinite(x)
+                                    ? "ExactSum::add: magnitude too large"
+                                    : "ExactSum::add: value must be finite");
   }
   if (x == 0.0) return;
   // Decompose exactly: every finite double is mi * 2^(e-53) with mi a 53-bit
@@ -176,12 +180,7 @@ void ExactSum::add(double x) {
   const int shift = e - 53 + kFracBits;
   __int128 q = 0;
   if (shift >= 0) {
-    if (shift > 74) {
-      // |x| >= ~1.5e23: the shifted mantissa would no longer leave headroom
-      // for accumulation. Population metrics never get near this.
-      throw std::invalid_argument("ExactSum::add: magnitude too large");
-    }
-    q = static_cast<__int128>(mi) << shift;
+    q = static_cast<__int128>(mi) << shift;  // shift <= 74: x is addable()
   } else if (shift >= -62) {
     // Deterministic round-half-away-from-zero onto the grid.
     const int s = -shift;

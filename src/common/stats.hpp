@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -135,6 +136,11 @@ class ExactSum {
 
   /// \brief Add one value (quantised to the grid).
   void add(double x);
+  /// \brief Whether add() accepts \p x: finite and below 2^77 (~1.5e23) in
+  ///        magnitude.
+  [[nodiscard]] static bool addable(double x) noexcept {
+    return std::isfinite(x) && std::abs(x) < 0x1p77;
+  }
   /// \brief Merge another accumulator — exact at any grouping or order.
   ExactSum& operator+=(const ExactSum& other) noexcept {
     acc_ += other.acc_;

@@ -1,6 +1,8 @@
 #include "gov/conservative.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "common/serial.hpp"
@@ -41,6 +43,12 @@ void ConservativeGovernor::save_state(std::ostream& out) const {
 void ConservativeGovernor::load_state(std::istream& in) {
   common::StateReader r(in);
   index_ = r.i64();
+  // An OPP index, or -1 before the first decision; the upper bound keeps
+  // index_ +/- freq_step far from signed overflow.
+  if (index_ < -1 || index_ > std::numeric_limits<std::int32_t>::max()) {
+    throw common::SerialError("conservative state: OPP index " +
+                              std::to_string(index_) + " out of range");
+  }
 }
 
 namespace {

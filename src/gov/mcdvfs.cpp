@@ -11,7 +11,10 @@
 namespace prime::gov {
 
 MulticoreDvfsGovernor::MulticoreDvfsGovernor(const McdvfsParams& params)
-    : params_(params), rng_(params.seed), epsilon_(params.epsilon0) {}
+    : params_(params), rng_(params.seed), epsilon_(params.epsilon0) {
+  common::require_exploration_rate("mcdvfs", "epsilon0", params.epsilon0);
+  common::require_exploration_rate("mcdvfs", "eps-min", params.epsilon_min);
+}
 
 void MulticoreDvfsGovernor::ensure_initialised(const DecisionContext& ctx) {
   if (!agents_.empty() && actions_ == ctx.opps->size() &&
@@ -168,10 +171,16 @@ void MulticoreDvfsGovernor::load_state(std::istream& in) {
     throw common::SerialError("mcdvfs state: implausible agent count " +
                               std::to_string(agent_count));
   }
+  const std::size_t cells =
+      common::checked_cells(params_.util_levels, actions_, "mcdvfs state");
+  if (agent_count != 0 && cells == 0) {
+    throw common::SerialError("mcdvfs state: core agents with an empty "
+                              "action space");
+  }
   agents_.assign(agent_count, CoreAgent{});
   for (CoreAgent& agent : agents_) {
     agent.q = r.vec_f64();
-    if (agent.q.size() != params_.util_levels * actions_) {
+    if (agent.q.size() != cells) {
       throw common::SerialError(
           "mcdvfs state: per-core Q-table size " +
           std::to_string(agent.q.size()) + " does not match dimensions " +
@@ -181,6 +190,13 @@ void MulticoreDvfsGovernor::load_state(std::istream& in) {
     agent.last_state = r.size();
     agent.last_action = r.size();
     agent.has_last = r.boolean();
+    if (agent.has_last && (agent.last_state >= params_.util_levels ||
+                           agent.last_action >= actions_)) {
+      throw common::SerialError(
+          "mcdvfs state: pending state/action " +
+          std::to_string(agent.last_state) + "/" +
+          std::to_string(agent.last_action) + " outside the Q-table");
+    }
   }
   epsilon_ = r.f64();
   epoch_ = r.size();
@@ -197,6 +213,9 @@ namespace {
 /// are one per agent.
 class McdvfsMergeTraits final : public MergeTraits {
  public:
+  explicit McdvfsMergeTraits(std::size_t util_levels)
+      : util_levels_(util_levels) {}
+
   [[nodiscard]] std::string name() const override { return "mcdvfs-q"; }
 
   [[nodiscard]] ParsedState parse(const std::string& payload) const override {
@@ -212,16 +231,18 @@ class McdvfsMergeTraits final : public MergeTraits {
         throw StateMergeError("mcdvfs state parse: implausible agent count " +
                               std::to_string(agent_count));
       }
-      std::size_t q_size = 0;
+      const std::size_t q_size =
+          common::checked_cells(util_levels_, actions, "Q table");
       for (std::size_t i = 0; i < agent_count; ++i) {
         const auto begin = static_cast<std::size_t>(in.tellg());
         const std::vector<double> q = r.vec_f64();
         const auto end = static_cast<std::size_t>(in.tellg());
-        if (i == 0) {
-          q_size = q.size();
-        } else if (q.size() != q_size) {
-          throw StateMergeError("mcdvfs state parse: ragged per-core Q "
-                                "tables");
+        if (q.size() != q_size) {
+          throw StateMergeError("mcdvfs state parse: per-core Q size " +
+                                std::to_string(q.size()) +
+                                " does not match dimensions " +
+                                std::to_string(util_levels_) + "x" +
+                                std::to_string(actions));
         }
         p.values.insert(p.values.end(), q.begin(), q.end());
         p.spans.emplace_back(begin, end);
@@ -265,12 +286,16 @@ class McdvfsMergeTraits final : public MergeTraits {
     }
     return out;
   }
+
+ private:
+  std::size_t util_levels_;
 };
 
 }  // namespace
 
 std::unique_ptr<StateMerger> MulticoreDvfsGovernor::make_state_merger() const {
-  return make_weighted_merger(std::make_unique<McdvfsMergeTraits>());
+  return make_weighted_merger(
+      std::make_unique<McdvfsMergeTraits>(params_.util_levels));
 }
 
 std::vector<std::size_t> MulticoreDvfsGovernor::greedy_policy() const {

@@ -1,5 +1,6 @@
 #include "gov/merge.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <tuple>
 
@@ -26,66 +27,12 @@ class WeightedStateMerger final : public StateMerger {
   }
 
   void add_accumulator(const std::string& bytes) override {
-    std::istringstream in(bytes, std::ios::binary);
-    common::StateReader r(in);
-    const std::string tag = r.str();
-    if (tag != traits_->name()) {
-      throw StateMergeError("state merge: accumulator for '" + tag +
-                            "' folded into a '" + traits_->name() +
-                            "' merger");
+    try {
+      fold_accumulator(bytes);
+    } catch (const common::SerialError& e) {
+      throw StateMergeError(std::string("state merge accumulator: ") +
+                            e.what());
     }
-    const std::uint64_t sources = r.u64();
-    const std::uint64_t weight = r.u64();
-    if (r.boolean()) {  // has_data
-      const std::vector<std::uint64_t> dims = r.vec_u64();
-      const std::size_t cells = r.size();
-      const bool first = !has_data_;
-      adopt_or_check(dims);
-      if (first) {
-        wq_.assign(cells, common::ExactSum{});
-        wsum_.assign(cells, 0);
-      }
-      if (cells != wq_.size()) {
-        throw StateMergeError("state merge: accumulator cell count " +
-                              std::to_string(cells) + " does not match " +
-                              std::to_string(wq_.size()));
-      }
-      for (std::size_t i = 0; i < cells; ++i) {
-        common::ExactSum sum;
-        sum.load_state(r);
-        wq_[i] += sum;
-      }
-      const std::vector<std::uint64_t> wsum = r.vec_u64();
-      const std::vector<std::uint64_t> counters = r.vec_u64();
-      if (first) counters_.assign(counters.size(), 0);
-      if (wsum.size() != cells || counters.size() != counters_.size()) {
-        throw StateMergeError("state merge: accumulator weight/counter "
-                              "vectors do not match the table geometry");
-      }
-      for (std::size_t i = 0; i < cells; ++i) wsum_[i] += wsum[i];
-      for (std::size_t i = 0; i < counters.size(); ++i) {
-        counters_[i] += counters[i];
-      }
-    }
-    if (r.boolean()) {  // has_champion
-      const bool champ_has_data = r.boolean();
-      const std::uint64_t champ_weight = r.u64();
-      // A champion is a whole governor payload, which can exceed the string
-      // cap, so it travels as a blob; its errors keep this merger's type.
-      std::string champ;
-      try {
-        champ = r.blob();
-      } catch (const common::SerialError& e) {
-        throw StateMergeError(std::string("state merge accumulator: ") +
-                              e.what());
-      }
-      consider_champion(champ_has_data, champ_weight, champ);
-    }
-    if (in.peek() != std::istream::traits_type::eof()) {
-      throw StateMergeError("state merge: trailing bytes after accumulator");
-    }
-    sources_ += sources;
-    weight_ += weight;
   }
 
   [[nodiscard]] std::string accumulator() const override {
@@ -127,6 +74,14 @@ class WeightedStateMerger final : public StateMerger {
                       : wq_[i].value() / static_cast<double>(wsum_[i]);
     }
     const ParsedState champ = traits_->parse(champion_);
+    // Sources and accumulators were checked against dims_ as they were
+    // folded; a champion of another geometry means a forged accumulator.
+    if (champ.dims != dims_ || champ.values.size() != wq_.size()) {
+      throw StateMergeError("state merge: champion geometry " +
+                            describe_dims(champ.dims) +
+                            " does not match the merged table " +
+                            describe_dims(dims_));
+    }
     const std::vector<std::string> repl =
         traits_->replacements(champ, merged, wsum_, counters_);
     if (repl.size() != champ.spans.size()) {
@@ -158,23 +113,114 @@ class WeightedStateMerger final : public StateMerger {
   }
 
  private:
-  void adopt_or_check(const std::vector<std::uint64_t>& dims) {
-    if (!has_data_) {
-      has_data_ = true;
-      dims_ = dims;
-      return;
-    }
-    if (dims != dims_) {
+  void check_dims(const std::vector<std::uint64_t>& dims) const {
+    if (has_data_ && dims != dims_) {
       throw StateMergeError("state merge: state-space mismatch: " +
                             describe_dims(dims) + " vs " +
                             describe_dims(dims_));
     }
   }
 
+  void adopt_or_check(const std::vector<std::uint64_t>& dims) {
+    check_dims(dims);
+    if (!has_data_) {
+      has_data_ = true;
+      dims_ = dims;
+    }
+  }
+
+  /// Parse the whole accumulator first and fold it only once it is known
+  /// to be well-formed, so a rejected one leaves this merger unchanged.
+  void fold_accumulator(const std::string& bytes) {
+    std::istringstream in(bytes, std::ios::binary);
+    common::StateReader r(in);
+    const std::string tag = r.str();
+    if (tag != traits_->name()) {
+      throw StateMergeError("state merge: accumulator for '" + tag +
+                            "' folded into a '" + traits_->name() +
+                            "' merger");
+    }
+    const std::uint64_t sources = r.u64();
+    const std::uint64_t weight = r.u64();
+    const bool has_data = r.boolean();
+    std::vector<std::uint64_t> dims;
+    std::vector<common::ExactSum> wq;
+    std::vector<std::uint64_t> wsum;
+    std::vector<std::uint64_t> counters;
+    if (has_data) {
+      dims = r.vec_u64();
+      check_dims(dims);
+      const std::uint64_t cells = r.u64();
+      if (has_data_ && cells != wq_.size()) {
+        throw StateMergeError("state merge: accumulator cell count " +
+                              std::to_string(cells) + " does not match " +
+                              std::to_string(wq_.size()));
+      }
+      // The sums grow as they are read, so a corrupt cell count fails on the
+      // short read instead of allocating what it claims.
+      wq.reserve(std::min<std::uint64_t>(cells,
+                                         common::StateReader::kVecChunk));
+      while (wq.size() < cells) wq.emplace_back().load_state(r);
+      wsum = r.vec_u64();
+      counters = r.vec_u64();
+      if (wsum.size() != cells ||
+          (has_data_ && counters.size() != counters_.size())) {
+        throw StateMergeError("state merge: accumulator weight/counter "
+                              "vectors do not match the table geometry");
+      }
+    }
+    const bool has_champion = r.boolean();
+    bool champ_has_data = false;
+    std::uint64_t champ_weight = 0;
+    std::string champ;
+    if (has_champion) {
+      champ_has_data = r.boolean();
+      champ_weight = r.u64();
+      // A champion is a whole governor payload, which can exceed the string
+      // cap, so it travels as a blob.
+      champ = r.blob();
+    }
+    if (in.peek() != std::istream::traits_type::eof()) {
+      throw StateMergeError("state merge: trailing bytes after accumulator");
+    }
+
+    if (has_data && !has_data_) {
+      has_data_ = true;
+      dims_ = std::move(dims);
+      wq_ = std::move(wq);
+      wsum_ = std::move(wsum);
+      counters_ = std::move(counters);
+    } else if (has_data) {
+      for (std::size_t i = 0; i < wq.size(); ++i) {
+        wq_[i] += wq[i];
+        wsum_[i] += wsum[i];
+      }
+      for (std::size_t i = 0; i < counters.size(); ++i) {
+        counters_[i] += counters[i];
+      }
+    }
+    if (has_champion) consider_champion(champ_has_data, champ_weight, champ);
+    sources_ += sources;
+    weight_ += weight;
+  }
+
   void fold_data(const ParsedState& p) {
     if (!p.has_data) return;
     if (p.values.size() != p.cell_weights.size()) {
       throw StateMergeError("state merge: parsed values/weights size skew");
+    }
+    // Check every weighted value before folding any, so a rejected source
+    // leaves this merger unchanged.
+    for (std::size_t i = 0; i < p.values.size(); ++i) {
+      if (p.cell_weights[i] != 0 &&
+          !common::ExactSum::addable(
+              static_cast<double>(p.cell_weights[i]) * p.values[i])) {
+        throw StateMergeError("state merge: cell " + std::to_string(i) +
+                              " value " + std::to_string(p.values[i]) +
+                              " at weight " +
+                              std::to_string(p.cell_weights[i]) +
+                              " cannot be summed exactly");
+      }
     }
     const bool first = !has_data_;
     adopt_or_check(p.dims);

@@ -11,7 +11,10 @@
 namespace prime::gov {
 
 ShenRlGovernor::ShenRlGovernor(const ShenRlParams& params)
-    : params_(params), rng_(params.seed), epsilon_(params.epsilon0) {}
+    : params_(params), rng_(params.seed), epsilon_(params.epsilon0) {
+  common::require_exploration_rate("shen-rl", "epsilon0", params.epsilon0);
+  common::require_exploration_rate("shen-rl", "eps-min", params.epsilon_min);
+}
 
 void ShenRlGovernor::ensure_initialised(const DecisionContext& ctx) {
   const std::size_t wanted_states =
@@ -20,6 +23,8 @@ void ShenRlGovernor::ensure_initialised(const DecisionContext& ctx) {
   actions_ = ctx.opps->size();
   states_ = wanted_states;
   q_.assign(states_ * actions_, 0.0);
+  // The pending (state, action) indexed the table just replaced.
+  has_last_ = false;
 }
 
 std::size_t ShenRlGovernor::state_of(common::Cycles cycles,
@@ -137,7 +142,7 @@ void ShenRlGovernor::load_state(std::istream& in) {
   states_ = r.size();
   actions_ = r.size();
   q_ = r.vec_f64();
-  if (q_.size() != states_ * actions_) {
+  if (q_.size() != common::checked_cells(states_, actions_, "shen-rl state")) {
     throw common::SerialError("shen-rl state: Q-table size " +
                               std::to_string(q_.size()) +
                               " does not match dimensions " +
@@ -152,6 +157,18 @@ void ShenRlGovernor::load_state(std::istream& in) {
   last_action_ = r.size();
   has_last_ = r.boolean();
   explorations_ = r.size();
+  // The workload normaliser starts at 1 and only grows; NaN would reach the
+  // state index as a float-to-integer conversion.
+  if (!(max_cycles_seen_ >= 1.0)) {
+    throw common::SerialError("shen-rl state: workload normaliser " +
+                              std::to_string(max_cycles_seen_) + " below 1");
+  }
+  if (has_last_ && (last_state_ >= states_ || last_action_ >= actions_)) {
+    throw common::SerialError("shen-rl state: pending state/action " +
+                              std::to_string(last_state_) + "/" +
+                              std::to_string(last_action_) +
+                              " outside the Q-table");
+  }
 }
 
 namespace {
@@ -176,7 +193,7 @@ class ShenRlMergeTraits final : public MergeTraits {
       const auto begin = static_cast<std::size_t>(in.tellg());
       const std::vector<double> q = r.vec_f64();
       const auto end = static_cast<std::size_t>(in.tellg());
-      if (q.size() != states * actions) {
+      if (q.size() != common::checked_cells(states, actions, "Q table")) {
         throw StateMergeError("shen-rl state parse: Q size " +
                               std::to_string(q.size()) +
                               " does not match dimensions " +

@@ -99,18 +99,10 @@ EpsilonSchedule::EpsilonSchedule(const Params& params)
   if (params_.alpha < 0.0 || params_.alpha >= 1.0) {
     throw std::invalid_argument("EpsilonSchedule: alpha must be in [0, 1)");
   }
-  // A non-finite or negative epsilon never converges: an infinite floor
-  // turns NaN, a negative one is approached from below forever.
-  if (!std::isfinite(params_.epsilon0) || params_.epsilon0 < 0.0) {
-    throw std::invalid_argument(
-        "EpsilonSchedule: epsilon0 must be finite and >= 0 (got " +
-        std::to_string(params_.epsilon0) + ")");
-  }
-  if (!std::isfinite(params_.epsilon_min) || params_.epsilon_min < 0.0) {
-    throw std::invalid_argument(
-        "EpsilonSchedule: eps-min must be finite and >= 0 (got " +
-        std::to_string(params_.epsilon_min) + ")");
-  }
+  common::require_exploration_rate("EpsilonSchedule", "epsilon0",
+                                   params_.epsilon0);
+  common::require_exploration_rate("EpsilonSchedule", "eps-min",
+                                   params_.epsilon_min);
 }
 
 bool EpsilonSchedule::converged() const noexcept {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -220,14 +219,11 @@ void QTable::load_state(common::StateReader& in) {
   if (states == 0 || actions == 0) {
     throw common::SerialError("QTable state: zero dimension");
   }
-  if (states > std::numeric_limits<std::size_t>::max() / actions) {
-    throw common::SerialError("QTable state: dimensions " +
-                              std::to_string(states) + "x" +
-                              std::to_string(actions) + " overflow");
-  }
+  const std::size_t cells =
+      common::checked_cells(states, actions, "QTable state");
   std::vector<double> q = in.vec_f64();
   const std::vector<std::uint64_t> visits = in.vec_u64();
-  if (q.size() != states * actions || visits.size() != states * actions) {
+  if (q.size() != cells || visits.size() != cells) {
     throw common::SerialError("QTable state: value/visit vector size does "
                               "not match the stored dimensions");
   }

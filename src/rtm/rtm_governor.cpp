@@ -156,6 +156,29 @@ void RtmGovernor::load_state(std::istream& in) {
   last_period_ = r.f64();
   explorations_ = r.size();
   smoothed_payoff_ = r.f64();
+  // The workload normaliser starts at 1 and only grows; NaN would reach the
+  // state index as a float-to-integer conversion.
+  if (!(max_cycles_seen_ >= 1.0)) {
+    throw common::SerialError("rtm state: workload normaliser " +
+                              std::to_string(max_cycles_seen_) + " below 1");
+  }
+  // decide() indexes the table by the discretizer's states and the stored
+  // action count, and updates the pending (state, action) cell.
+  if (qtable_ && (qtable_->states() != discretizer_.state_count() ||
+                  qtable_->actions() != actions_)) {
+    throw common::SerialError(
+        "rtm state: Q-table " + std::to_string(qtable_->states()) + "x" +
+        std::to_string(qtable_->actions()) + " does not match " +
+        std::to_string(discretizer_.state_count()) + " states x " +
+        std::to_string(actions_) + " actions");
+  }
+  if (has_last_ && (!qtable_ || last_state_ >= qtable_->states() ||
+                    last_action_ >= actions_)) {
+    throw common::SerialError("rtm state: pending state/action " +
+                              std::to_string(last_state_) + "/" +
+                              std::to_string(last_action_) +
+                              " outside the Q-table");
+  }
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #include "rtm/slack.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "common/serial.hpp"
@@ -35,6 +36,13 @@ void SlackMonitor::load_state(common::StateReader& in) {
   last_ = in.f64();
   sum_ = in.f64();
   epochs_ = in.size();
+  // Slack ratios are finite, and the slack level is a float-to-integer
+  // conversion of the average.
+  for (const double v : {average_, delta_, last_, sum_}) {
+    if (!std::isfinite(v)) {
+      throw common::SerialError("slack monitor state: non-finite value");
+    }
+  }
 }
 
 }  // namespace prime::rtm

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serial.hpp"
 #include "fleet/driver.hpp"
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
@@ -284,6 +285,45 @@ TEST(MergeAlgebra, LoadedAccumulatorReserialisesToTheSameBytes) {
   ASSERT_NE(merger, nullptr);
   merger->add_accumulator(bytes);
   EXPECT_EQ(merger->accumulator(), bytes);
+}
+
+TEST(MergeAlgebra, CorruptAccumulatorsFailAsQlibErrorsAndFoldNothing) {
+  auto platform = hw::Platform::odroid_xu3_a15();
+  const PolicyEntry merged =
+      merge_entries({train_leaf(*platform, "rtm", 1, 11),
+                     train_leaf(*platform, "rtm", 2, 12)});
+  const auto governor = sim::make_governor("rtm", 0);
+  ASSERT_NO_THROW((void)merged.state_for(*governor));
+
+  // An rtm-q accumulator whose 4x19 table claims 2^40 cells: the sums are
+  // read as they come, so it fails on the short read instead of allocating
+  // 16 TiB.
+  std::ostringstream forged(std::ios::binary);
+  common::StateWriter w(forged);
+  w.str("rtm-q");
+  w.u64(1);  // sources
+  w.u64(1);  // weight
+  w.boolean(true);
+  w.vec_u64({4, 19});
+  w.u64(std::uint64_t{1} << 40);
+  PolicyEntry huge = merged;
+  huge.blob = forged.str();
+  expect_qlib_error([&] { (void)huge.state_for(*governor); },
+                    "truncated payload");
+
+  // A truncated accumulator is the policy's error, not a SerialError.
+  PolicyEntry truncated = merged;
+  truncated.blob.resize(merged.blob.size() - 1);
+  expect_qlib_error([&] { (void)truncated.state_for(*governor); },
+                    "state merge accumulator");
+
+  // A rejected accumulator leaves the merger as it was.
+  auto merger = governor->make_state_merger();
+  merger->add_accumulator(merged.blob);
+  for (const std::string& bad : {huge.blob, truncated.blob}) {
+    EXPECT_THROW(merger->add_accumulator(bad), gov::StateMergeError);
+    EXPECT_EQ(merger->accumulator(), merged.blob);
+  }
 }
 
 TEST(MergeAlgebra, SelfMergeLeavesTheDecisionPolicyUnchanged) {

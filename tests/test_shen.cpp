@@ -2,6 +2,9 @@
 /// \brief Unit tests for the UPD RL baseline [21].
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "gov/shen_rl.hpp"
 
 namespace prime::gov {
@@ -53,6 +56,20 @@ TEST(ShenRl, GeometricScheduleHitsFloorNear660) {
     obs = make_obs(opps, idx, 0.5);
   }
   EXPECT_NEAR(static_cast<double>(g.learning_complete_epoch()), 656.0, 10.0);
+}
+
+TEST(ShenRl, PendingActionDoesNotOutliveATableResize) {
+  // A governor moved to a board with fewer OPPs rebuilds its table. The
+  // (state, action) it took on the old board lies past the end of the new
+  // one, so the first observation on the new board must not credit it.
+  const hw::OppTable big = hw::OppTable::odroid_xu3_a15();
+  const hw::OppTable small = hw::OppTable::linear(2, 3.0e8, 1.0e9, 0.9, 1.0);
+  ShenRlGovernor g;
+  const std::size_t first = g.decide(make_ctx(big), std::nullopt);
+  ASSERT_GE(first, small.size());  // pending cell 24 * 2 + first >= 50 cells
+  const std::size_t next = g.decide(make_ctx(small), make_obs(small, 0, 0.5));
+  EXPECT_LT(next, small.size());
+  EXPECT_EQ(g.greedy_policy(), std::vector<std::size_t>(25, 0));
 }
 
 TEST(ShenRl, DeterministicForSeed) {
