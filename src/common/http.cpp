@@ -6,17 +6,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <list>
-#include <mutex>
 #include <thread>
+#include <vector>
 
 namespace prime::common {
 namespace {
@@ -29,12 +30,14 @@ void close_fd(int& fd) {
   }
 }
 
-/// \brief Send all of \p data on \p fd; returns false on any error (peer
-///        gone). MSG_NOSIGNAL keeps a dead peer from raising SIGPIPE.
-bool send_all(int fd, const char* data, std::size_t len) {
+/// \brief Send all of \p data on blocking \p fd; returns false on any
+///        error (peer gone). MSG_NOSIGNAL keeps a dead peer from raising
+///        SIGPIPE.
+bool send_all(int fd, const std::string& data) {
   std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
+  while (sent < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                             MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -42,10 +45,6 @@ bool send_all(int fd, const char* data, std::size_t len) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-bool send_all(int fd, const std::string& data) {
-  return send_all(fd, data.data(), data.size());
 }
 
 /// \brief %xx-decode a URL component ('+' is left alone: the dashboard never
@@ -110,24 +109,10 @@ const char* status_text(int status) {
   }
 }
 
-/// \brief Read from \p fd until the header terminator, parse the request
-///        line. Returns false on malformed/oversized/closed input.
-bool read_request(int fd, HttpRequest& req) {
-  std::string buf;
-  char chunk[1024];
-  // 16 KB is orders of magnitude beyond any dash_tool/curl request line.
-  constexpr std::size_t kMaxHeader = 16 * 1024;
-  while (buf.find("\r\n\r\n") == std::string::npos) {
-    if (buf.size() > kMaxHeader) return false;
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
-  const std::size_t eol = buf.find("\r\n");
-  const std::string line = buf.substr(0, eol);
+/// \brief Parse the request line of a complete header block. Returns false
+///        on a malformed line.
+bool parse_request(const std::string& head, HttpRequest& req) {
+  const std::string line = head.substr(0, head.find("\r\n"));
   const std::size_t sp1 = line.find(' ');
   if (sp1 == std::string::npos) return false;
   const std::size_t sp2 = line.find(' ', sp1 + 1);
@@ -219,18 +204,28 @@ std::size_t parse_response_head(const std::string& buf, int& status,
   return head_end + 4;
 }
 
+using Clock = std::chrono::steady_clock;
+
+// 16 KB is orders of magnitude beyond any dash_tool/curl request line.
+constexpr std::size_t kMaxHeader = 16 * 1024;
+// How long a silent or stalled peer may hold its connection.
+constexpr auto kIdleLimit = std::chrono::seconds(10);
+
 }  // namespace
 
 struct HttpServer::Impl {
-  /// \brief One live connection: its fd, its thread, and a done flag the
-  ///        thread raises as its very last action so the accept loop can
-  ///        join-and-erase it. `done` is only set after the thread's final
-  ///        conn_mu critical section, so joining a done connection can
-  ///        never deadlock against a thread still waiting on conn_mu.
+  /// \brief One live connection. It reads a request into `in`, then drains
+  ///        `out`; a stream refills `out` from `next_chunk` once per tick.
   struct Conn {
     int fd = -1;
-    std::atomic<bool> done{false};
-    std::thread thread;
+    std::string in;   ///< Request bytes read so far.
+    std::string out;  ///< Response bytes not yet sent (from `sent` on).
+    std::size_t sent = 0;
+    bool responded = false;
+    std::function<bool(std::string& chunk)> next_chunk;  ///< Set on a stream.
+    /// While waiting on the peer (request or send), when it counts as
+    /// stalled; on a drained stream, when next_chunk is due.
+    Clock::time_point deadline;
   };
 
   Handler handler;
@@ -238,126 +233,141 @@ struct HttpServer::Impl {
   std::uint16_t port = 0;
   std::atomic<bool> stopping{false};
   std::atomic<std::uint64_t> served{0};
-  std::thread accept_thread;
-  std::mutex conn_mu;                      ///< Guards conns (list + fd fields).
-  std::list<std::unique_ptr<Conn>> conns;  ///< Live connections; reaped per accept.
+  std::thread thread;
 
-  void serve_connection(Conn* conn);
-  void reap_finished();
-  void accept_loop();
+  void run();
+  bool step(Conn& c, short revents, Clock::time_point now);
+  void respond(Conn& c, const HttpRequest& req, Clock::time_point now);
 };
 
-void HttpServer::Impl::serve_connection(Conn* conn) {
-  const int fd = conn->fd;
-  HttpRequest req;
-  if (read_request(fd, req)) {
-    HttpResponse resp;
-    if (req.method != "GET") {
-      resp.status = 400;
-      resp.content_type = "text/plain";
-      resp.body = "only GET is supported\n";
-    } else {
-      try {
-        resp = handler(req);
-      } catch (const std::exception& e) {
-        resp = HttpResponse{};
-        resp.status = 500;
-        resp.content_type = "text/plain";
-        resp.body = std::string("handler error: ") + e.what() + "\n";
-        resp.next_chunk = nullptr;
-      }
-    }
-    const bool streaming = static_cast<bool>(resp.next_chunk);
-    // Count the request as served *before* dispatching the bytes: on
-    // loopback a client can read the complete body while this thread is
-    // still inside send(), so counting afterwards races any caller that
-    // checks requests_served() the moment its GET returns.
-    served.fetch_add(1, std::memory_order_relaxed);
-    bool ok = send_all(
-        fd, response_head(resp.status, resp.content_type, streaming,
-                          resp.body.size()));
-    if (ok && !resp.body.empty()) ok = send_all(fd, resp.body);
-    if (ok && streaming) {
-      std::string chunk;
-      while (!stopping.load(std::memory_order_relaxed)) {
-        chunk.clear();
-        if (!resp.next_chunk(chunk)) break;
-        if (!chunk.empty() && !send_all(fd, chunk)) break;
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn_mu);
-    close_fd(conn->fd);
-  }
-  conn->done.store(true, std::memory_order_release);
-}
-
-void HttpServer::Impl::reap_finished() {
-  // Splice finished connections out under the lock, join them outside it:
-  // a long-poll dashboard then holds exactly its live connections, instead
-  // of one zombie thread + slot per request ever served.
-  std::list<std::unique_ptr<Conn>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu);
-    for (auto it = conns.begin(); it != conns.end();) {
-      const auto next = std::next(it);
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        finished.splice(finished.end(), conns, it);
-      }
-      it = next;
-    }
-  }
-  for (auto& conn : finished) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-}
-
-void HttpServer::Impl::accept_loop() {
+void HttpServer::Impl::run() {
+  std::vector<Conn> conns;
+  std::vector<pollfd> fds;
   while (!stopping.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen fd closed by stop(), or unrecoverable.
+    // Block until I/O or the nearest deadline; with no connection, until I/O.
+    Clock::time_point now = Clock::now();
+    fds.assign(1, pollfd{listen_fd, POLLIN, 0});
+    int timeout_ms = -1;
+    for (const Conn& c : conns) {
+      const short events = !c.responded     ? POLLIN
+                           : c.out.empty() ? 0
+                                           : POLLOUT;
+      fds.push_back(pollfd{c.fd, events, 0});
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+                            c.deadline - now)
+                            .count();
+      const int ms = static_cast<int>(std::max<decltype(wait)>(wait, 0));
+      timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
     }
-    if (stopping.load(std::memory_order_relaxed)) {
-      ::close(fd);
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR) {
       break;
     }
-    reap_finished();
-    // Bound how long a silent or stalled peer can pin this connection's
-    // thread: recv in read_request and send on a wedged client both time
-    // out instead of blocking until stop().
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    Conn* raw = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(conn_mu);
-      conns.push_back(std::move(conn));
+    if (stopping.load(std::memory_order_relaxed)) break;
+    now = Clock::now();
+    // Backwards, so an erase only shifts connections already stepped.
+    for (std::size_t i = conns.size(); i-- > 0;) {
+      if (!step(conns[i], fds[i + 1].revents, now)) {
+        close_fd(conns[i].fd);
+        conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
+      }
     }
-    try {
-      raw->thread = std::thread([this, raw] { serve_connection(raw); });
-    } catch (const std::system_error&) {
-      // Thread spawn failed (EAGAIN under resource pressure): drop this one
-      // connection and keep accepting rather than letting the exception
-      // escape the accept thread and terminate the monitored run.
-      std::lock_guard<std::mutex> lock(conn_mu);
-      close_fd(raw->fd);
-      conns.remove_if([raw](const std::unique_ptr<Conn>& c) {
-        return c.get() == raw;
-      });
+    if (fds[0].revents & (POLLERR | POLLHUP | POLLNVAL)) break;
+    if (fds[0].revents & POLLIN) {
+      for (;;) {
+        const int fd = ::accept4(listen_fd, nullptr, nullptr,
+                                 SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (fd < 0) break;  // EAGAIN: backlog drained.
+        Conn& c = conns.emplace_back();
+        c.fd = fd;
+        c.deadline = now + kIdleLimit;
+      }
     }
   }
+  for (Conn& c : conns) close_fd(c.fd);
+}
+
+bool HttpServer::Impl::step(Conn& c, short revents, Clock::time_point now) {
+  if (revents & (POLLERR | POLLHUP | POLLNVAL)) return false;
+  if (!c.responded) {
+    if (!(revents & POLLIN)) return now < c.deadline;
+    char chunk[4096];
+    const ssize_t n = ::recv(c.fd, chunk, sizeof chunk, 0);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return true;
+    }
+    if (n <= 0) return false;
+    c.in.append(chunk, static_cast<std::size_t>(n));
+    c.deadline = now + kIdleLimit;
+    const std::size_t head_end = c.in.find("\r\n\r\n");
+    if (head_end == std::string::npos) return c.in.size() <= kMaxHeader;
+    if (head_end + 4 > kMaxHeader) return false;
+    HttpRequest req;
+    if (!parse_request(c.in, req)) return false;
+    respond(c, req, now);
+  } else if (c.out.empty()) {
+    // A drained stream: ask for the next chunk once its tick is due.
+    if (now < c.deadline) return true;
+    try {
+      if (!c.next_chunk(c.out)) return false;
+    } catch (const std::exception&) {
+      return false;
+    }
+    c.deadline = now + kIdleLimit;
+  }
+  while (c.sent < c.out.size()) {
+    const ssize_t n = ::send(c.fd, c.out.data() + c.sent,
+                             c.out.size() - c.sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return now < c.deadline;
+    }
+    if (n <= 0) return false;
+    c.sent += static_cast<std::size_t>(n);
+    c.deadline = now + kIdleLimit;
+  }
+  c.out.clear();
+  c.sent = 0;
+  if (!c.next_chunk) return false;  // A fixed response is complete.
+  c.deadline = now + kStreamTick;
+  return true;
+}
+
+void HttpServer::Impl::respond(Conn& c, const HttpRequest& req,
+                               Clock::time_point now) {
+  HttpResponse resp;
+  if (req.method != "GET") {
+    resp.status = 400;
+    resp.content_type = "text/plain";
+    resp.body = "only GET is supported\n";
+  } else {
+    try {
+      resp = handler(req);
+    } catch (const std::exception& e) {
+      resp = HttpResponse{};
+      resp.status = 500;
+      resp.content_type = "text/plain";
+      resp.body = std::string("handler error: ") + e.what() + "\n";
+    }
+  }
+  const bool streaming = static_cast<bool>(resp.next_chunk);
+  // Count the request as served *before* sending the bytes: on loopback a
+  // client can read the complete body before this thread returns from
+  // send(), so counting afterwards races any caller that checks
+  // requests_served() the moment its GET returns.
+  served.fetch_add(1, std::memory_order_relaxed);
+  c.out = response_head(resp.status, resp.content_type, streaming,
+                        resp.body.size()) +
+          resp.body;
+  c.next_chunk = std::move(resp.next_chunk);
+  c.responded = true;
+  c.in.clear();
+  c.deadline = now + kIdleLimit;
 }
 
 HttpServer::HttpServer(std::uint16_t port, Handler handler)
     : impl_(std::make_unique<Impl>()) {
   impl_->handler = std::move(handler);
-  impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (impl_->listen_fd < 0) {
     throw HttpError("http: socket() failed: " +
                     std::string(std::strerror(errno)));
@@ -383,7 +393,7 @@ HttpServer::HttpServer(std::uint16_t port, Handler handler)
   socklen_t len = sizeof addr;
   ::getsockname(impl_->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
   impl_->port = ntohs(addr.sin_port);
-  impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });
+  impl_->thread = std::thread([this] { impl_->run(); });
 }
 
 HttpServer::~HttpServer() { stop(); }
@@ -395,29 +405,12 @@ std::uint64_t HttpServer::requests_served() const noexcept {
 }
 
 void HttpServer::stop() {
-  if (impl_->stopping.exchange(true)) {
-    // Second call: threads already joined (or being joined) by the first.
-    return;
-  }
-  // Closing the listen fd unblocks accept(); shutdown() unblocks any
-  // connection thread parked in recv()/send().
+  if (impl_->stopping.exchange(true)) return;  // Already stopped.
+  // shutdown() wakes the loop's poll() on the listen fd at once, whatever
+  // its timeout; the loop then closes every connection on its way out.
   ::shutdown(impl_->listen_fd, SHUT_RDWR);
+  if (impl_->thread.joinable()) impl_->thread.join();
   close_fd(impl_->listen_fd);
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
-  {
-    std::lock_guard<std::mutex> lock(impl_->conn_mu);
-    for (auto& conn : impl_->conns) {
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-  // accept_loop has exited, so conns can no longer grow; connection threads
-  // only mutate their own fd/done fields, never the list itself.
-  for (auto& conn : impl_->conns) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-  std::lock_guard<std::mutex> lock(impl_->conn_mu);
-  for (auto& conn : impl_->conns) close_fd(conn->fd);
-  impl_->conns.clear();
 }
 
 HttpResult http_get(const std::string& host, std::uint16_t port,

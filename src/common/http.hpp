@@ -1,21 +1,22 @@
 /// \file http.hpp
-/// \brief Minimal blocking HTTP/1.1 server and client over POSIX sockets.
+/// \brief Minimal HTTP/1.1 server and client over POSIX sockets.
 ///
 /// The transport under the live dashboard telemetry sink (sim/dashboard.hpp):
 /// a deliberately small, dependency-free subset of HTTP — GET requests, fixed
 /// responses with Content-Length, and Server-Sent-Event streams delimited by
 /// connection close. The server binds the loopback interface only (telemetry
-/// is an operator surface, not a public one), accepts on a background thread
-/// and handles each connection on its own thread, so a long-lived SSE watcher
-/// never blocks one-shot snapshot polls. Everything is synchronous and
-/// blocking per connection; there is no pipelining, keep-alive, TLS or
-/// request-body handling — the dashboard's clients (dash_tool, curl, a
-/// browser EventSource) need none of it.
+/// is an operator surface, not a public one) and serves every connection
+/// from one thread: a poll() loop over non-blocking sockets, so a
+/// long-lived SSE watcher or a silent peer never blocks one-shot snapshot
+/// polls. There is no pipelining, keep-alive, TLS or request-body handling —
+/// the dashboard's clients (dash_tool, curl, a browser EventSource) need
+/// none of it.
 ///
-/// The client half (http_get / http_get_stream) exists for dash_tool and the
-/// tests; it speaks exactly the subset the server serves.
+/// The client half (http_get / http_get_stream) is blocking; it exists for
+/// dash_tool and the tests and speaks exactly the subset the server serves.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -48,14 +49,21 @@ struct HttpRequest {
   }
 };
 
+/// \brief How often the server asks a stream for its next chunk.
+inline constexpr std::chrono::milliseconds kStreamTick{250};
+
 /// \brief A handler's reply. Leave \p next_chunk empty for a fixed body
 ///        (served with Content-Length); set it for a streaming response
-///        (Server-Sent Events): the server writes the headers, then calls
-///        next_chunk repeatedly and writes each produced chunk until it
-///        returns false, the client disconnects, or the server stops.
-///        next_chunk must block (bounded — re-check cadence, not forever)
-///        while it has nothing to send, and should re-check its own source's
-///        liveness so a stopped producer ends the stream.
+///        (Server-Sent Events): the server writes the headers and body, then
+///        calls next_chunk and writes each produced chunk until it returns
+///        false, the client disconnects, or the server stops.
+///
+/// next_chunk must not block: it runs on the server thread, which serves
+/// every other connection too. The server calls it at most once per
+/// kStreamTick per stream, and only once the stream's previous chunk is
+/// fully sent, so a producer that always has something to say is paced by
+/// the tick, and one with nothing new should emit a comment heartbeat (a
+/// dead peer then fails the next send and the stream closes).
 struct HttpResponse {
   int status = 200;
   std::string content_type = "application/json";
@@ -63,13 +71,16 @@ struct HttpResponse {
   std::function<bool(std::string& chunk)> next_chunk;
 };
 
-/// \brief Blocking loopback HTTP server: one accept thread, one thread per
-///        connection, synchronous handler dispatch.
+/// \brief Loopback HTTP server: one thread runs a poll() loop over the
+///        listen socket and every live connection.
 ///
-/// The handler runs on connection threads — it must be thread-safe against
-/// the owner's mutations (the dashboard sink locks its snapshot state). A
-/// thrown handler exception becomes a 500 with the exception text; the
-/// server itself never propagates connection errors.
+/// The handler and next_chunk run on that thread — they must be
+/// thread-safe against the owner's mutations (the dashboard sink locks its
+/// snapshot state) and should return quickly, since every other connection
+/// waits while they run. A thrown handler exception becomes a 500 with the
+/// exception text; the server itself never propagates connection errors.
+/// A connection whose peer sends nothing, or accepts no bytes, for 10 s is
+/// closed, and so is one whose request header exceeds 16 KB.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -91,9 +102,10 @@ class HttpServer {
   ///        dispatched; kept across connections).
   [[nodiscard]] std::uint64_t requests_served() const noexcept;
 
-  /// \brief Stop accepting, shut every open connection, join all threads.
-  ///        Idempotent; called by the destructor. Streaming handlers are
-  ///        interrupted at their next chunk boundary.
+  /// \brief Stop accepting, close every open connection (live streams
+  ///        included) and join the server thread. Returns as soon as the
+  ///        handler or next_chunk call in flight, if any, returns — it
+  ///        does not wait out a tick. Idempotent; called by the destructor.
   void stop();
 
  private:

@@ -53,6 +53,16 @@ long long Spec::get_int(const std::string& key, long long fallback) const {
   return parsed;
 }
 
+std::size_t Spec::get_count(const std::string& key,
+                            std::size_t fallback) const {
+  const long long n = get_int(key, static_cast<long long>(fallback));
+  if (n < 1) {
+    throw std::invalid_argument("Spec '" + name_ + "': key '" + key +
+                                "' must be >= 1, got " + std::to_string(n));
+  }
+  return static_cast<std::size_t>(n);
+}
+
 bool Spec::get_bool(const std::string& key, bool fallback) const {
   requested_.insert(key);
   const auto v = args_.get(key);

@@ -189,7 +189,16 @@ void ExactSum::add(double x) {
                 : -((static_cast<__int128>(-mi) + bias) >> s);
   }
   // else: |x| below half the grid quantum rounds to exactly 0.
-  acc_ += q;
+  fold(q);
+}
+
+void ExactSum::fold(__int128 q) {
+  __int128 sum = 0;
+  if (__builtin_add_overflow(acc_, q, &sum)) {
+    throw std::overflow_error("ExactSum: sum exceeds the accumulator's range "
+                              "(magnitude 2^77, ~1.5e23)");
+  }
+  acc_ = sum;
 }
 
 double ExactSum::value() const noexcept {

@@ -128,13 +128,17 @@ class Histogram {
 /// and accumulates in a 128-bit integer: integer addition is exact,
 /// associative and commutative, so any merge tree over any shard partition
 /// yields the same bits. Values must be finite and below ~1.5e23 in
-/// magnitude (std::invalid_argument otherwise).
+/// magnitude (std::invalid_argument otherwise), and so must every sum: one
+/// that reaches 2^77 in magnitude would overflow the 128-bit accumulator, so
+/// it throws std::overflow_error and leaves the accumulator unchanged.
 class ExactSum {
  public:
   /// \brief Fractional bits of the fixed-point grid.
   static constexpr int kFracBits = 50;
 
-  /// \brief Add one value (quantised to the grid).
+  /// \brief Add one value (quantised to the grid). Throws
+  ///        std::invalid_argument unless addable(\p x), and
+  ///        std::overflow_error when the sum leaves the accumulator's range.
   void add(double x);
   /// \brief Whether add() accepts \p x: finite and below 2^77 (~1.5e23) in
   ///        magnitude.
@@ -142,8 +146,10 @@ class ExactSum {
     return std::isfinite(x) && std::abs(x) < 0x1p77;
   }
   /// \brief Merge another accumulator — exact at any grouping or order.
-  ExactSum& operator+=(const ExactSum& other) noexcept {
-    acc_ += other.acc_;
+  ///        Throws std::overflow_error, leaving *this unchanged, when the
+  ///        sum leaves the accumulator's range.
+  ExactSum& operator+=(const ExactSum& other) {
+    fold(other.acc_);
     return *this;
   }
   /// \brief The accumulated sum, converted back to double.
@@ -161,6 +167,9 @@ class ExactSum {
   void load_state(StateReader& in);
 
  private:
+  /// Add \p q grid units, or throw std::overflow_error leaving acc_ as is.
+  void fold(__int128 q);
+
   __int128 acc_ = 0;
 };
 

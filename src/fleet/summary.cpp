@@ -1,5 +1,7 @@
 #include "fleet/summary.hpp"
 
+#include <stdexcept>
+
 #include "common/sealed.hpp"
 #include "common/serial.hpp"
 
@@ -47,13 +49,26 @@ void CellStats::merge(const CellStats& other) {
         "CellStats::merge: histogram geometry mismatch — the shards were not "
         "produced by the same population");
   }
+  // Sum into copies: an overflow (a corrupt or forged summary) throws
+  // before anything changes.
+  common::ExactSum energy = energy_sum, time = time_sum, perf = perf_sum,
+                   power = power_sum, miss = miss_sum;
+  try {
+    energy += other.energy_sum;
+    time += other.time_sum;
+    perf += other.perf_sum;
+    power += other.power_sum;
+    miss += other.miss_sum;
+  } catch (const std::overflow_error& e) {
+    throw FleetError(std::string("CellStats::merge: ") + e.what());
+  }
   devices += other.devices;
   run.merge(other.run);
-  energy_sum += other.energy_sum;
-  time_sum += other.time_sum;
-  perf_sum += other.perf_sum;
-  power_sum += other.power_sum;
-  miss_sum += other.miss_sum;
+  energy_sum = energy;
+  time_sum = time;
+  perf_sum = perf;
+  power_sum = power;
+  miss_sum = miss;
   energy_hist.merge(other.energy_hist);
   miss_hist.merge(other.miss_hist);
   perf_hist.merge(other.perf_hist);

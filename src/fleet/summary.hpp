@@ -91,7 +91,8 @@ struct CellStats {
   /// \brief Fold one finished device run into the cell.
   void add_device(const sim::RunResult& result);
   /// \brief Merge another cell's statistics (exact; throws
-  ///        std::invalid_argument on histogram-geometry mismatch).
+  ///        std::invalid_argument on histogram-geometry mismatch and
+  ///        FleetError when a sum overflows, leaving *this unchanged).
   void merge(const CellStats& other);
 
   // Derived per-device means (0 when the cell is empty).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/serial.hpp"
 #include "gov/merge.hpp"
@@ -14,6 +15,10 @@ MulticoreDvfsGovernor::MulticoreDvfsGovernor(const McdvfsParams& params)
     : params_(params), rng_(params.seed), epsilon_(params.epsilon0) {
   common::require_exploration_rate("mcdvfs", "epsilon0", params.epsilon0);
   common::require_exploration_rate("mcdvfs", "eps-min", params.epsilon_min);
+  // state_of() indexes util_levels - 1, so an empty state space is UB.
+  if (params.util_levels == 0) {
+    throw std::invalid_argument("mcdvfs: levels must be >= 1");
+  }
 }
 
 void MulticoreDvfsGovernor::ensure_initialised(const DecisionContext& ctx) {
@@ -317,8 +322,7 @@ const GovernorRegistrar kRegisterMcdvfs{
     "keys: levels, alpha, discount, epsilon0, decay, eps-min, seed",
     [](const common::Spec& spec, std::uint64_t seed) {
       McdvfsParams p;
-      p.util_levels = static_cast<std::size_t>(
-          spec.get_int("levels", static_cast<long long>(p.util_levels)));
+      p.util_levels = spec.get_count("levels", p.util_levels);
       p.learning_rate = spec.get_double("alpha", p.learning_rate);
       p.discount = spec.get_double("discount", p.discount);
       p.epsilon0 = spec.get_double("epsilon0", p.epsilon0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/serial.hpp"
@@ -20,7 +21,11 @@ class WeightedStateMerger final : public StateMerger {
 
   void add_state(const std::string& payload) override {
     ParsedState p = traits_->parse(payload);
-    fold_data(p);
+    try {
+      fold_data(p);
+    } catch (const std::overflow_error& e) {
+      throw StateMergeError(std::string("state merge: ") + e.what());
+    }
     consider_champion(p.has_data, p.weight, payload);
     sources_ += 1;
     weight_ += p.weight;
@@ -30,6 +35,9 @@ class WeightedStateMerger final : public StateMerger {
     try {
       fold_accumulator(bytes);
     } catch (const common::SerialError& e) {
+      throw StateMergeError(std::string("state merge accumulator: ") +
+                            e.what());
+    } catch (const std::overflow_error& e) {
       throw StateMergeError(std::string("state merge accumulator: ") +
                             e.what());
     }
@@ -191,10 +199,11 @@ class WeightedStateMerger final : public StateMerger {
       wsum_ = std::move(wsum);
       counters_ = std::move(counters);
     } else if (has_data) {
-      for (std::size_t i = 0; i < wq.size(); ++i) {
-        wq_[i] += wq[i];
-        wsum_[i] += wsum[i];
-      }
+      // Sum into the parsed copy: an overflowing cell throws before this
+      // merger changes.
+      for (std::size_t i = 0; i < wq.size(); ++i) wq[i] += wq_[i];
+      wq_.swap(wq);
+      for (std::size_t i = 0; i < wsum.size(); ++i) wsum_[i] += wsum[i];
       for (std::size_t i = 0; i < counters.size(); ++i) {
         counters_[i] += counters[i];
       }
@@ -234,11 +243,16 @@ class WeightedStateMerger final : public StateMerger {
       throw StateMergeError("state merge: source cell/counter count does not "
                             "match the adopted geometry");
     }
+    // Sum into a copy, likewise: an overflowing cell throws first.
+    std::vector<common::ExactSum> sums = wq_;
     for (std::size_t i = 0; i < p.values.size(); ++i) {
       if (p.cell_weights[i] != 0) {
-        wq_[i].add(static_cast<double>(p.cell_weights[i]) * p.values[i]);
-        wsum_[i] += p.cell_weights[i];
+        sums[i].add(static_cast<double>(p.cell_weights[i]) * p.values[i]);
       }
+    }
+    wq_.swap(sums);
+    for (std::size_t i = 0; i < p.values.size(); ++i) {
+      wsum_[i] += p.cell_weights[i];
     }
     for (std::size_t i = 0; i < p.counters.size(); ++i) {
       counters_[i] += p.counters[i];

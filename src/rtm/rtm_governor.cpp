@@ -271,14 +271,14 @@ RtmParams rtm_params_from_spec(const common::Spec& spec, std::uint64_t seed) {
   p.epsilon.alpha = spec.get_double("eps-alpha", p.epsilon.alpha);
   p.epsilon.epsilon_min = spec.get_double("eps-min", p.epsilon.epsilon_min);
   if (spec.has("levels")) {
-    const auto n = static_cast<std::size_t>(spec.get_int("levels", 5));
+    const std::size_t n = spec.get_count("levels", 5);
     p.discretizer.workload_levels = n;
     p.discretizer.slack_levels = n;
   }
-  p.discretizer.workload_levels = static_cast<std::size_t>(spec.get_int(
-      "workload-levels", static_cast<long long>(p.discretizer.workload_levels)));
-  p.discretizer.slack_levels = static_cast<std::size_t>(spec.get_int(
-      "slack-levels", static_cast<long long>(p.discretizer.slack_levels)));
+  p.discretizer.workload_levels =
+      spec.get_count("workload-levels", p.discretizer.workload_levels);
+  p.discretizer.slack_levels =
+      spec.get_count("slack-levels", p.discretizer.slack_levels);
   p.slack_ewma_alpha = spec.get_double("slack-alpha", p.slack_ewma_alpha);
   if (spec.has("slack-mode")) {
     const std::string mode = spec.get_string("slack-mode", "");

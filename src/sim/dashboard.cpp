@@ -4,7 +4,6 @@
 #include "sim/dashboard.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -116,8 +115,8 @@ DashboardSink::DashboardSink(std::uint16_t port, std::size_t every,
       spec_bt_path_(std::move(bt_path)) {}
 
 DashboardSink::~DashboardSink() {
-  // Joining the connection threads before any member dies: next_chunk
-  // closures and handlers reference the sink's state.
+  // Joining the server thread before any member dies: next_chunk closures
+  // and handlers reference the sink's state.
   if (server_) server_->stop();
 }
 
@@ -145,7 +144,6 @@ void DashboardSink::on_run_begin(const RunContext& ctx) {
     tail_.reset();
   }
   ++version_;
-  cv_.notify_all();
 }
 
 void DashboardSink::on_epoch(const EpochRecord& record, gov::Governor&) {
@@ -164,10 +162,7 @@ void DashboardSink::on_epoch(const EpochRecord& record, gov::Governor&) {
     ++residency_[d][opp];
   }
   if (tail_) tail_->push(record);
-  if (live_.epoch_count % every_ == 0) {
-    ++version_;
-    cv_.notify_all();
-  }
+  if (live_.epoch_count % every_ == 0) ++version_;
 }
 
 void DashboardSink::on_run_end(const RunResult& result) {
@@ -178,7 +173,6 @@ void DashboardSink::on_run_end(const RunResult& result) {
   state_ = "finished";
   ++runs_completed_;
   ++version_;
-  cv_.notify_all();
 }
 
 void DashboardSink::bind(const RunBinding* run) {
@@ -246,16 +240,12 @@ common::HttpResponse DashboardSink::handle(const common::HttpRequest& req) {
       resp.body = "data: " + render_snapshot_locked() + "\n\n";
     }
     resp.next_chunk = [this, last_version](std::string& chunk) mutable {
-      std::unique_lock<std::mutex> lock(mu_);
-      // Bounded wait: the server re-checks its stop flag between chunks,
-      // so an idle feed never wedges shutdown.
-      cv_.wait_for(lock, std::chrono::milliseconds(250),
-                   [this, last_version] { return version_ != last_version; });
+      std::lock_guard<std::mutex> lock(mu_);
       if (version_ == last_version) {
-        // Nothing new (run finished, or a quiet stretch): emit an SSE
-        // comment heartbeat. Clients ignore it, but the send fails on a
-        // dead peer, so an abandoned watcher's thread exits instead of
-        // spinning until the sink is destroyed.
+        // Nothing new since the last tick (run finished, or a quiet
+        // stretch): emit an SSE comment heartbeat. Clients ignore it, but
+        // the send fails on a dead peer, so an abandoned watcher's
+        // connection closes instead of lingering until the sink dies.
         chunk = ": keep-alive\n\n";
         return true;
       }

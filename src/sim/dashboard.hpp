@@ -11,9 +11,11 @@
 /// minimal loopback HTTP server (common/http.hpp):
 ///
 ///     GET /snapshot                 one JSON snapshot (schema below)
-///     GET /events                   SSE feed: one `data: <snapshot>` event
-///                                   per publication (every `every` epochs
-///                                   and at run end)
+///     GET /events                   SSE feed: the current snapshot, then
+///                                   the latest one at most once per 250 ms
+///                                   tick when a publication (every `every`
+///                                   epochs, run begin and end) changed it,
+///                                   a `: keep-alive` comment otherwise
 ///     GET /window?from=N&count=M    scroll-back: records [N, N+M) as JSON,
 ///                                   read live from the run's growing `.bt`
 ///                                   via BinTraceReader follow mode (404
@@ -40,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -67,8 +68,9 @@ namespace prime::sim {
 ///        Spec: `dashboard(port=8080,every=1000,tail=256,bt=out/run.bt)`.
 ///
 /// `port` is required (0 binds an ephemeral port — read it back with
-/// bound_port()); `every` is the SSE publication cadence in epochs; `tail`
-/// is the retained recent-epoch window (0 disables); `bt` points /window at
+/// bound_port()); `every` is the publication cadence in epochs, which
+/// /events samples once per tick; `tail` is the retained recent-epoch
+/// window (0 disables); `bt` points /window at
 /// a `.bt` being written by a bintrace sink — when omitted, /window serves
 /// the trace of the first bintrace sink bound to the same run (wherever it
 /// sits in the sink list), and keeps serving it after the run seals it,
@@ -113,7 +115,6 @@ class DashboardSink : public TelemetrySink {
   std::string spec_bt_path_;  ///< From the bt= key; wins over the bound path.
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;       ///< Signalled per publication for SSE.
   std::uint64_t version_ = 0;        ///< Publication counter.
   std::string state_ = "idle";
   RunContext ctx_;

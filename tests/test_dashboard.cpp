@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -282,6 +284,39 @@ TEST(Dashboard, IdleEventsStreamEmitsKeepAliveHeartbeats) {
       });
   EXPECT_EQ(status, 200);
   EXPECT_TRUE(got_heartbeat);
+}
+
+TEST(Dashboard, OpenEventsStreamDoesNotDelaySnapshots) {
+  // /snapshot polls on the same server thread must be answered while the
+  // watcher's stream is open; it hangs up at its first line after them.
+  auto platform = hw::Platform::odroid_xu3_a15();
+  DashboardSink dash(0, 1);
+  gov::PerformanceGovernor g;
+  RunOptions opt;
+  opt.sinks = {&dash};
+  (void)run_simulation(*platform, make_app(30), g, opt);
+
+  std::atomic<bool> streaming{false};
+  std::atomic<bool> polled{false};
+  std::thread watcher([&] {
+    (void)common::http_get_stream("127.0.0.1", dash.bound_port(), "/events",
+                                  [&](const std::string& line) {
+                                    if (line.rfind("data: ", 0) == 0) {
+                                      streaming = true;
+                                    }
+                                    return !polled;
+                                  });
+  });
+  while (!streaming) std::this_thread::yield();
+  for (int i = 0; i < 3; ++i) {
+    const common::HttpResult result = common::http_get(
+        "127.0.0.1", dash.bound_port(), "/snapshot", 2000);
+    EXPECT_EQ(result.status, 200);
+    EXPECT_EQ(result.body, dash.snapshot_json() + "\n");
+  }
+  EXPECT_EQ(dash.requests_served(), 4u);
+  polled = true;
+  watcher.join();  // The next keep-alive line ends the stream.
 }
 
 // --- Registry and lazy-open contract -----------------------------------------

@@ -300,6 +300,24 @@ TEST(CellStatsMerge, RejectsForeignHistogramGeometry) {
   EXPECT_THROW(mine.merge(theirs), std::invalid_argument);
 }
 
+TEST(CellStatsMerge, OverflowingSumsFailAsFleetErrorAndChangeNothing) {
+  // A loaded (corrupt or forged) summary whose last sum sits at 2^126 grid
+  // units: merging it into a copy of itself overflows the accumulator.
+  const PopulationSpec pop = tiny_population();
+  common::Rng rng(41);
+  CellStats mine(pop);
+  mine.add_device(random_result(rng));
+  std::stringstream buf;
+  common::StateWriter w(buf);
+  w.u64(0);
+  w.u64(std::uint64_t{1} << 62);
+  common::StateReader r(buf);
+  mine.miss_sum.load_state(r);
+  const CellStats before = mine;
+  EXPECT_THROW(mine.merge(before), FleetError);
+  expect_exactly_equal(mine, before);
+}
+
 // --- ShardSummary file format ------------------------------------------------
 
 ShardSummary sample_summary(const PopulationSpec& pop) {

@@ -1,8 +1,8 @@
 /// \file test_governor_states.cpp
 /// \brief Governor state payloads fail closed: a seeded mutation fuzz one
 ///        level below the sealed `.ckpt` envelope, a grid of table
-///        dimensions whose product wraps, and the exploration parameters of
-///        the learning governors.
+///        dimensions whose product wraps, and the exploration parameters and
+///        level counts of the learning governors.
 ///
 /// The fuzz starts from the `governor_state` blob of each registered
 /// governor's format-golden checkpoint (tests/support/format_artefacts).
@@ -315,6 +315,52 @@ INSTANTIATE_TEST_SUITE_P(
                         std::numeric_limits<double>::infinity(),
                         -std::numeric_limits<double>::infinity(), -0.5)),
     exploration_name);
+
+// --- Level counts ----------------------------------------------------------------
+
+using LevelCase = std::tuple<std::string, std::string, long long>;
+
+class LevelParams : public testing::TestWithParam<LevelCase> {};
+
+TEST_P(LevelParams, ZeroOrNegativeLevelCountsAreRejectedByKey) {
+  // A count below 1 must not reach the governor: 0 leaves an empty state
+  // space for the first decide() to index, and a negative one wraps through
+  // a cast to std::size_t.
+  const auto& [governor, key, value] = GetParam();
+  const std::string spec =
+      governor + "(" + key + "=" + std::to_string(value) + ")";
+  try {
+    (void)sim::make_governor(spec);
+    FAIL() << spec << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        << spec << ": " << e.what();
+  }
+  EXPECT_NO_THROW((void)sim::make_governor(governor + "(" + key + "=1)"));
+}
+
+std::string level_name(const testing::TestParamInfo<LevelCase>& info) {
+  const auto& [governor, key, value] = info.param;
+  std::string id = governor + "_" + key + "_" +
+                   (value < 0 ? "neg" + std::to_string(-value)
+                              : std::to_string(value));
+  for (char& c : id) {
+    if (c == '-') c = '_';
+  }
+  return id;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LearningGovernors, LevelParams,
+    testing::Values(LevelCase{"mcdvfs", "levels", 0},
+                    LevelCase{"mcdvfs", "levels", -1},
+                    LevelCase{"rtm", "levels", 0},
+                    LevelCase{"rtm", "levels", -1},
+                    LevelCase{"rtm", "workload-levels", 0},
+                    LevelCase{"rtm", "workload-levels", -3},
+                    LevelCase{"rtm", "slack-levels", 0},
+                    LevelCase{"rtm", "slack-levels", -3}),
+    level_name);
 
 }  // namespace
 }  // namespace prime::testing_support

@@ -1,13 +1,18 @@
 /// \file test_http.cpp
 /// \brief Tests for the minimal loopback HTTP server/client pair under the
 ///        dashboard sink: request parsing, fixed and streaming responses,
-///        handler errors, concurrent clients, and shutdown semantics.
+///        handler errors, concurrent and misbehaving clients, and shutdown
+///        semantics.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <condition_variable>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,16 +23,19 @@
 namespace prime::common {
 namespace {
 
-/// \brief Number of mapped regions of this process (Linux), or 0 when
-///        /proc is unavailable. An exited-but-unjoined thread retains its
-///        stack mapping, so zombie connection threads show up here.
-std::size_t mapped_region_count() {
-  std::ifstream maps("/proc/self/maps");
-  if (!maps) return 0;
-  std::size_t n = 0;
-  std::string line;
-  while (std::getline(maps, line)) ++n;
-  return n;
+/// \brief A raw loopback connection to \p port with a 5 s receive timeout,
+///        for peers that misbehave in ways http_get cannot.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
 }
 
 /// A server answering every request with a fixed body, plus the parsed
@@ -119,27 +127,84 @@ TEST(HttpServer, ConcurrentClientsAllAnswered) {
   EXPECT_EQ(fx.server().requests_served(), static_cast<std::uint64_t>(kClients));
 }
 
-TEST(HttpServer, SequentialRequestsReapConnectionThreads) {
-  // A long-lived dashboard is polled for days: finished connection threads
-  // must be joined as the server runs, not accumulated until stop().
-  // An unjoined exited thread keeps its stack mapping, so a leak of one
-  // thread per request shows up as ~one new mapped region per request.
+TEST(HttpServer, SilentAndHalfSentRequestsDoNotDelayOtherClients) {
+  // One server thread serves every connection, so a peer that connects and
+  // says nothing, or stops mid-header, must not hold up anyone else. The
+  // GET's 2 s timeout is far below the server's 10 s idle limit.
   EchoFixture fx;
-  for (int i = 0; i < 8; ++i) {
-    (void)http_get("127.0.0.1", fx.server().port(), "/");  // warm up
+  const int silent = raw_connect(fx.server().port());
+  const int half = raw_connect(fx.server().port());
+  const std::string partial = "GET /half HT";
+  ASSERT_EQ(::send(half, partial.data(), partial.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(partial.size()));
+  const HttpResult result =
+      http_get("127.0.0.1", fx.server().port(), "/", 2000);
+  EXPECT_EQ(result.status, 200);
+  EXPECT_EQ(result.body, "hello");
+  EXPECT_EQ(fx.server().requests_served(), 1u);
+  ::close(silent);
+  ::close(half);
+}
+
+TEST(HttpServer, OversizedHeaderClosesWithoutCallingTheHandler) {
+  std::atomic<int> calls{0};
+  HttpServer server(0, [&](const HttpRequest&) {
+    ++calls;
+    return HttpResponse{};
+  });
+  const int fd = raw_connect(server.port());
+  std::string request = "GET / HTTP/1.1\r\n";
+  while (request.size() <= 17 * 1024) {
+    request += "X-Pad: " + std::string(100, 'a') + "\r\n";
   }
-  const std::size_t before = mapped_region_count();
-  if (before == 0) GTEST_SKIP() << "/proc/self/maps unavailable";
-  constexpr int kRequests = 100;
-  for (int i = 0; i < kRequests; ++i) {
-    (void)http_get("127.0.0.1", fx.server().port(), "/");
+  request += "\r\n";
+  // The server may hang up mid-send; only what it answers matters here.
+  (void)::send(fd, request.data(), request.size(), MSG_NOSIGNAL);
+  char byte = 0;
+  const ssize_t n = ::recv(fd, &byte, 1, 0);
+  const int err = errno;
+  EXPECT_TRUE(n == 0 || (n < 0 && err != EAGAIN && err != EWOULDBLOCK))
+      << "expected the connection closed without a reply, recv gave " << n;
+  ::close(fd);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(server.requests_served(), 0u);
+}
+
+TEST(HttpServer, OpenStreamDoesNotDelayFixedRequests) {
+  // An endless producer on the one server thread: each tick it has a new
+  // event, and the stream stays open until the server stops.
+  HttpServer server(0, [](const HttpRequest& req) {
+    HttpResponse res;
+    res.content_type = "text/plain";
+    res.body = "fixed";
+    if (req.path == "/events") {
+      res.content_type = "text/event-stream";
+      res.body = "data: first\n\n";
+      res.next_chunk = [](std::string& chunk) {
+        chunk = "data: tick\n\n";
+        return true;
+      };
+    }
+    return res;
+  });
+  std::atomic<bool> streaming{false};
+  std::thread watcher([&] {
+    (void)http_get_stream("127.0.0.1", server.port(), "/events",
+                          [&](const std::string& line) {
+                            if (line.rfind("data: ", 0) == 0) streaming = true;
+                            return true;
+                          });
+  });
+  while (!streaming) std::this_thread::yield();
+  for (int i = 0; i < 5; ++i) {
+    const HttpResult result =
+        http_get("127.0.0.1", server.port(), "/fixed", 2000);
+    EXPECT_EQ(result.status, 200);
+    EXPECT_EQ(result.body, "fixed");
   }
-  // Each accept reaps the previously finished connections, so growth stays
-  // a small constant (in-flight stragglers), never O(requests). The old
-  // accumulate-until-stop behavior grows by >= kRequests mappings here.
-  const std::size_t after = mapped_region_count();
-  EXPECT_LT(after, before + kRequests / 2)
-      << "connection threads are not being reaped";
+  server.stop();
+  watcher.join();
+  EXPECT_EQ(server.requests_served(), 6u);
 }
 
 TEST(HttpServer, StreamingResponseDeliversChunksAsLines) {

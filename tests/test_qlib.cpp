@@ -326,6 +326,40 @@ TEST(MergeAlgebra, CorruptAccumulatorsFailAsQlibErrorsAndFoldNothing) {
   }
 }
 
+TEST(MergeAlgebra, OverflowingAccumulatorsFailAsQlibErrorsAndFoldNothing) {
+  auto platform = hw::Platform::odroid_xu3_a15();
+  const PolicyEntry merged =
+      merge_entries({train_leaf(*platform, "rtm", 1, 11),
+                     train_leaf(*platform, "rtm", 2, 12)});
+
+  // Rewrite the accumulator's first weighted-Q sum to 2^126 grid units: one
+  // copy folds, but two sum past the 128-bit accumulator's range.
+  std::istringstream in(merged.blob, std::ios::binary);
+  common::StateReader r(in);
+  (void)r.str();      // traits name
+  (void)r.u64();      // sources
+  (void)r.u64();      // weight
+  ASSERT_TRUE(r.boolean());
+  (void)r.vec_u64();  // dims
+  ASSERT_GT(r.u64(), 0u);
+  const auto at = static_cast<std::size_t>(in.tellg());
+  std::ostringstream sum(std::ios::binary);
+  common::StateWriter w(sum);
+  w.u64(0);
+  w.u64(std::uint64_t{1} << 62);
+  PolicyEntry loaded = merged;
+  loaded.blob.replace(at, sum.str().size(), sum.str());
+
+  expect_qlib_error([&] { (void)merge_entries({loaded, loaded}); },
+                    "exceeds");
+  const auto governor = sim::make_governor("rtm", 0);
+  auto merger = governor->make_state_merger();
+  merger->add_accumulator(loaded.blob);
+  EXPECT_EQ(merger->accumulator(), loaded.blob);
+  EXPECT_THROW(merger->add_accumulator(loaded.blob), gov::StateMergeError);
+  EXPECT_EQ(merger->accumulator(), loaded.blob);
+}
+
 TEST(MergeAlgebra, SelfMergeLeavesTheDecisionPolicyUnchanged) {
   auto platform = hw::Platform::odroid_xu3_a15();
   const PolicyEntry a = train_leaf(*platform, "rtm", 1, 11);

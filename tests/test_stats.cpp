@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -381,6 +382,32 @@ TEST(ExactSum, RejectsNonFiniteAndOverflowingValues) {
   EXPECT_THROW(s.add(std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
   EXPECT_THROW(s.add(1e300), std::invalid_argument);
+}
+
+TEST(ExactSum, OverflowingSumThrowsAndKeepsTheAccumulator) {
+  // 1.4e23 is addable on its own, but twice it passes 2^77 (~1.51e23), the
+  // edge of the 128-bit accumulator.
+  for (const double x : {1.4e23, -1.4e23}) {
+    ExactSum s;
+    s.add(x);
+    EXPECT_THROW(s.add(x), std::overflow_error);
+    EXPECT_EQ(s.value(), x);
+  }
+}
+
+TEST(ExactSum, MergingLoadedAccumulatorsThatOverflowThrows) {
+  // Two accumulators loaded at 2^126 grid units: their sum, 2^127, is one
+  // past the largest signed 128-bit value.
+  std::stringstream buf;
+  StateWriter w(buf);
+  w.u64(0);
+  w.u64(std::uint64_t{1} << 62);
+  ExactSum near_max;
+  StateReader r(buf);
+  near_max.load_state(r);
+  ExactSum a = near_max;
+  EXPECT_THROW(a += near_max, std::overflow_error);
+  EXPECT_TRUE(a == near_max);
 }
 
 TEST(ExactSum, SerialRoundTripsBitExact) {
