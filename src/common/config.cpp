@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/strings.hpp"
 
@@ -55,6 +56,17 @@ long long Config::get_int(const std::string& key, long long fallback) const {
   char* end = nullptr;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
   return (end == v->c_str()) ? fallback : parsed;
+}
+
+std::size_t Config::get_count(const std::string& key, std::size_t fallback,
+                              std::size_t min) const {
+  const long long n = get_int(key, static_cast<long long>(fallback));
+  if (n < static_cast<long long>(min)) {
+    throw std::invalid_argument("config key '" + key + "' must be >= " +
+                                std::to_string(min) + ", got " +
+                                std::to_string(n));
+  }
+  return static_cast<std::size_t>(n);
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

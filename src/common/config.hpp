@@ -7,6 +7,7 @@
 /// that fall back to a caller-supplied default.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -39,6 +40,12 @@ class Config {
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   /// \brief Integer with default; unparsable values return the default.
   [[nodiscard]] long long get_int(const std::string& key, long long fallback) const;
+  /// \brief A count that must be >= \p min (cores, frames, bins): a smaller
+  ///        integer throws std::invalid_argument naming the key instead of
+  ///        wrapping through a cast to std::size_t.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback,
+                                      std::size_t min = 1) const;
   /// \brief Boolean with default. Accepts true/false/1/0/yes/no/on/off.
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 

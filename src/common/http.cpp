@@ -16,6 +16,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -243,21 +244,29 @@ struct HttpServer::Impl {
 void HttpServer::Impl::run() {
   std::vector<Conn> conns;
   std::vector<pollfd> fds;
+  // Set while accept4 fails for want of a resource (EMFILE, ENFILE, ENOBUFS,
+  // ENOMEM): the refused connection keeps the listen fd readable, so polling
+  // it would spin. Accepting resumes when a connection closes or at the time.
+  std::optional<Clock::time_point> accept_resume;
   while (!stopping.load(std::memory_order_relaxed)) {
     // Block until I/O or the nearest deadline; with no connection, until I/O.
     Clock::time_point now = Clock::now();
-    fds.assign(1, pollfd{listen_fd, POLLIN, 0});
+    fds.assign(1, pollfd{listen_fd, accept_resume ? short{0} : short{POLLIN},
+                         0});
     int timeout_ms = -1;
+    const auto wait_until = [&](Clock::time_point deadline) {
+      const auto wait =
+          std::chrono::ceil<std::chrono::milliseconds>(deadline - now).count();
+      const int ms = static_cast<int>(std::max<decltype(wait)>(wait, 0));
+      timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+    };
+    if (accept_resume) wait_until(*accept_resume);
     for (const Conn& c : conns) {
       const short events = !c.responded     ? POLLIN
                            : c.out.empty() ? 0
                                            : POLLOUT;
       fds.push_back(pollfd{c.fd, events, 0});
-      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
-                            c.deadline - now)
-                            .count();
-      const int ms = static_cast<int>(std::max<decltype(wait)>(wait, 0));
-      timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+      wait_until(c.deadline);
     }
     if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR) {
       break;
@@ -269,14 +278,23 @@ void HttpServer::Impl::run() {
       if (!step(conns[i], fds[i + 1].revents, now)) {
         close_fd(conns[i].fd);
         conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
+        accept_resume.reset();
       }
     }
+    if (accept_resume && now >= *accept_resume) accept_resume.reset();
     if (fds[0].revents & (POLLERR | POLLHUP | POLLNVAL)) break;
     if (fds[0].revents & POLLIN) {
       for (;;) {
         const int fd = ::accept4(listen_fd, nullptr, nullptr,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) break;  // EAGAIN: backlog drained.
+        if (fd < 0) {
+          if (errno == EINTR || errno == ECONNABORTED) continue;
+          // EAGAIN: backlog drained. Anything else is a missing resource.
+          if (errno != EAGAIN && errno != EWOULDBLOCK) {
+            accept_resume = now + kStreamTick;
+          }
+          break;
+        }
         Conn& c = conns.emplace_back();
         c.fd = fd;
         c.deadline = now + kIdleLimit;

@@ -80,7 +80,10 @@ struct HttpResponse {
 /// waits while they run. A thrown handler exception becomes a 500 with the
 /// exception text; the server itself never propagates connection errors.
 /// A connection whose peer sends nothing, or accepts no bytes, for 10 s is
-/// closed, and so is one whose request header exceeds 16 KB.
+/// closed, and so is one whose request header exceeds 16 KB. When accept
+/// fails for want of a resource (the process is out of fds or memory), the
+/// server leaves waiting connections in the backlog and retries when one of
+/// its connections closes or after kStreamTick, instead of spinning.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;

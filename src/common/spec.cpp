@@ -53,12 +53,13 @@ long long Spec::get_int(const std::string& key, long long fallback) const {
   return parsed;
 }
 
-std::size_t Spec::get_count(const std::string& key,
-                            std::size_t fallback) const {
+std::size_t Spec::get_count(const std::string& key, std::size_t fallback,
+                            std::size_t min) const {
   const long long n = get_int(key, static_cast<long long>(fallback));
-  if (n < 1) {
+  if (n < static_cast<long long>(min)) {
     throw std::invalid_argument("Spec '" + name_ + "': key '" + key +
-                                "' must be >= 1, got " + std::to_string(n));
+                                "' must be >= " + std::to_string(min) +
+                                ", got " + std::to_string(n));
   }
   return static_cast<std::size_t>(n);
 }

@@ -60,11 +60,13 @@ class Spec {
   }
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] long long get_int(const std::string& key, long long fallback) const;
-  /// \brief A count that must be >= 1 (a level or bin count): an integer
-  ///        below 1 throws std::invalid_argument naming the key instead of
-  ///        wrapping through a cast to std::size_t.
+  /// \brief A count that must be >= \p min (a level count, or an index
+  ///        with \p min 0): a smaller integer throws std::invalid_argument
+  ///        naming the key instead of wrapping through a cast to
+  ///        std::size_t.
   [[nodiscard]] std::size_t get_count(const std::string& key,
-                                      std::size_t fallback) const;
+                                      std::size_t fallback,
+                                      std::size_t min = 1) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   /// \brief Keys a consumer has asked for through the typed getters, sorted.

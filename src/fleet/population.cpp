@@ -157,17 +157,16 @@ PopulationSpec PopulationSpec::from_config(const common::Config& cfg) {
   if (cfg.has("fps")) {
     pop.fps = parse_double_list(cfg.get_string("fps", ""), "fps");
   }
-  pop.devices_per_cell =
-      static_cast<std::size_t>(cfg.get_int("devices-per-cell", 1));
-  pop.frames = static_cast<std::size_t>(cfg.get_int("frames", 1000));
+  pop.devices_per_cell = cfg.get_count("devices-per-cell", 1);
+  pop.frames = cfg.get_count("frames", 1000);
   pop.stream = cfg.get_bool("stream", true);
   pop.base_seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
   pop.target_utilisation = cfg.get_double("util", 0.45);
   pop.energy_hi = cfg.get_double("energy-hi", 0.0);
-  pop.energy_bins = static_cast<std::size_t>(cfg.get_int("energy-bins", 4096));
-  pop.miss_bins = static_cast<std::size_t>(cfg.get_int("miss-bins", 1000));
+  pop.energy_bins = cfg.get_count("energy-bins", 4096);
+  pop.miss_bins = cfg.get_count("miss-bins", 1000);
   pop.perf_hi = cfg.get_double("perf-hi", 2.0);
-  pop.perf_bins = static_cast<std::size_t>(cfg.get_int("perf-bins", 1000));
+  pop.perf_bins = cfg.get_count("perf-bins", 1000);
   pop.validate();
   return pop;
 }

@@ -72,8 +72,8 @@ const GovernorRegistrar kRegisterSchedutil{
     [](const common::Spec& spec, std::uint64_t) {
       SchedutilParams p;
       p.headroom = spec.get_double("headroom", p.headroom);
-      p.down_rate_epochs = static_cast<std::size_t>(spec.get_int(
-          "down-rate", static_cast<long long>(p.down_rate_epochs)));
+      p.down_rate_epochs =
+          spec.get_count("down-rate", p.down_rate_epochs, 0);
       return std::make_unique<SchedutilGovernor>(p);
     }};
 

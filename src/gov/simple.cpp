@@ -52,8 +52,7 @@ const GovernorRegistrar kRegisterUserspace{
     governor_registry(), "userspace",
     "fixed user-chosen OPP (Linux 'userspace'); keys: opp",
     [](const common::Spec& spec, std::uint64_t) {
-      return std::make_unique<UserspaceGovernor>(
-          static_cast<std::size_t>(spec.get_int("opp", 0)));
+      return std::make_unique<UserspaceGovernor>(spec.get_count("opp", 0, 0));
     }};
 
 }  // namespace

@@ -33,9 +33,9 @@ std::unique_ptr<Platform> Platform::odroid_xu3_a15(std::uint64_t sensor_seed) {
 }
 
 std::unique_ptr<Platform> Platform::from_config(const common::Config& cfg) {
-  const auto clusters = static_cast<std::size_t>(cfg.get_int("hw.clusters", 1));
-  const auto cores = static_cast<std::size_t>(cfg.get_int("hw.cores", 4));
-  const auto opps = static_cast<std::size_t>(cfg.get_int("hw.opps", 19));
+  const std::size_t clusters = cfg.get_count("hw.clusters", 1);
+  const std::size_t cores = cfg.get_count("hw.cores", 4);
+  const std::size_t opps = cfg.get_count("hw.opps", 19);
   const double fmin = cfg.get_double("hw.fmin_mhz", 200.0);
   const double fmax = cfg.get_double("hw.fmax_mhz", 2000.0);
 

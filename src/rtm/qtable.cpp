@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -91,13 +92,24 @@ std::size_t QTable::update_and_best_action(std::size_t s, std::size_t a,
   // best_value() and best_action() keep the first strict maximum, so the
   // value update() reads is the cell of this row scan's argmax.
   const std::size_t best = best_action(s_next);
+  const double best_q = q_[s_next * actions_ + best];
   double& q = q_[s * actions_ + a];
-  q = (1.0 - alpha) * q +
-      alpha * (reward + discount * q_[s_next * actions_ + best]);
+  q = (1.0 - alpha) * q + alpha * (reward + discount * best_q);
   ++visits_[s * actions_ + a];
   ++updates_;
-  // The update rewrote a cell of row s_next only when s == s_next.
-  return s == s_next ? best_action(s_next) : best;
+  // The update rewrote a cell of row s_next only when s == s_next. Every
+  // other cell kept its value, so the new argmax follows from the old one
+  // unless the argmax cell fell or the new value is NaN (a NaN in cell 0
+  // pins the scan to 0; anywhere else the scan skips it).
+  if (s != s_next) return best;
+  if (a != best) {
+    if (q > best_q) return a;
+    if (q == best_q) return std::min(a, best);  // first of the tied maxima
+    if (!std::isnan(q)) return best;
+  } else if (q >= best_q) {
+    return best;
+  }
+  return best_action(s_next);
 }
 
 std::vector<std::size_t> QTable::greedy_policy() const {

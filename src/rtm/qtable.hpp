@@ -44,8 +44,10 @@ class QTable {
   void update(std::size_t s, std::size_t a, double reward, std::size_t s_next,
               double alpha, double discount);
   /// \brief update(), then best_action(s_next), from one scan of row
-  ///        s_next (two when s == s_next, since the update changed that row).
-  ///        Results and counters are bit-identical to the two calls.
+  ///        s_next. When s == s_next the post-update argmax is derived from
+  ///        the pre-update one; the row is scanned again only when the
+  ///        argmax cell fell or the new value is NaN. Results and counters
+  ///        are bit-identical to the two calls.
   [[nodiscard]] std::size_t update_and_best_action(
       std::size_t s, std::size_t a, double reward, std::size_t s_next,
       double alpha, double discount);

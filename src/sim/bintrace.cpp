@@ -81,6 +81,22 @@ EpochRecord decode_record(const unsigned char* in) noexcept {
 
 BinTraceWriter::BinTraceWriter(std::ostream& out) : out_(&out) {}
 
+BinTraceWriter::~BinTraceWriter() {
+  try {
+    write_pending();
+  } catch (...) {
+    // A stream set to throw on failure: the records are lost, as they
+    // would be from a failed write, and a destructor must not throw.
+  }
+}
+
+void BinTraceWriter::write_pending() {
+  if (pending_ == 0) return;
+  out_->write(reinterpret_cast<const char*>(chunk_.get()),
+              static_cast<std::streamsize>(pending_ * kBinTraceRecordSize));
+  pending_ = 0;
+}
+
 void BinTraceWriter::begin(const std::string& governor,
                            const std::string& application) {
   if (begun_) {
@@ -98,6 +114,8 @@ void BinTraceWriter::begin(const std::string& governor,
   store_name(header.data() + kOffGovernor, governor);
   store_name(header.data() + kOffApplication, application);
   out_->write(reinterpret_cast<const char*>(header.data()), header.size());
+  chunk_ = std::make_unique_for_overwrite<unsigned char[]>(
+      kBinTraceChunkRecords * kBinTraceRecordSize);
   begun_ = true;
 }
 
@@ -106,10 +124,9 @@ void BinTraceWriter::append(const EpochRecord& record) {
     throw std::logic_error(
         "BinTraceWriter: append() outside a begin()..seal() run");
   }
-  std::array<unsigned char, kBinTraceRecordSize> buf{};
-  encode_record(record, buf.data());
-  out_->write(reinterpret_cast<const char*>(buf.data()), buf.size());
+  encode_record(record, chunk_.get() + pending_ * kBinTraceRecordSize);
   ++count_;
+  if (++pending_ == kBinTraceChunkRecords) write_pending();
 }
 
 void BinTraceWriter::seal() {
@@ -117,6 +134,7 @@ void BinTraceWriter::seal() {
     throw std::logic_error("BinTraceWriter: seal() without a begun, "
                            "unsealed run");
   }
+  write_pending();
   std::array<unsigned char, 8> count{};
   store_u64(count.data(), count_);
   out_->seekp(static_cast<std::streamoff>(kOffCount));
@@ -388,8 +406,11 @@ void BinTraceSink::on_run_begin(const RunContext& ctx) {
   // (Re)opened truncating per run: a .bt holds exactly one run's homogeneous
   // record block (see the class comment). Lazy like CsvSink — a constructed,
   // never-run sink touches nothing.
-  auto file = std::make_unique<std::ofstream>(
-      path_, std::ios::binary | std::ios::trunc);
+  // Unbuffered: the writer already hands over whole chunks, and a live
+  // follower (the dashboard's /window) sees the header from run begin.
+  auto file = std::make_unique<std::ofstream>();
+  file->rdbuf()->pubsetbuf(nullptr, 0);
+  file->open(path_, std::ios::binary | std::ios::trunc);
   if (!*file) {
     throw std::runtime_error("BinTraceSink: cannot open '" + path_ +
                              "' for writing (does the parent directory "

@@ -69,6 +69,10 @@ inline constexpr std::size_t kBinTraceNameSize = 40;
 /// \brief record-count sentinel meaning "run still in progress / never
 ///        sealed". Distinct from a legitimate zero-record file.
 inline constexpr std::uint64_t kBinTraceUnsealed = ~std::uint64_t{0};
+/// \brief Records BinTraceWriter buffers before handing them to the stream
+///        in one write: as many whole records as fit in 64 KiB.
+inline constexpr std::size_t kBinTraceChunkRecords =
+    64 * 1024 / kBinTraceRecordSize;
 
 /// \brief Error thrown by BinTraceReader on malformed, incompatible or
 ///        truncated input. Messages name the offending file and the exact
@@ -90,20 +94,32 @@ void encode_record(const EpochRecord& record, unsigned char* out) noexcept;
 /// record count in place). Call order is begin() once, append() per epoch,
 /// seal() once; misuse throws std::logic_error rather than writing a file
 /// other tools would misparse.
+///
+/// append() encodes into a pending chunk of kBinTraceChunkRecords records and
+/// hands the stream whole chunks, one write each; seal() and the destructor
+/// write what is pending. So the stream receives only whole records and lags
+/// the appended ones by less than one chunk; the bytes are the same as one
+/// write per record would give.
 class BinTraceWriter {
  public:
   /// \brief Bind to \p out; the stream must outlive the writer.
   explicit BinTraceWriter(std::ostream& out);
+  /// \brief Writes any pending records, unsealed when seal() never ran (a
+  ///        run that threw leaves every appended record on the stream).
+  ~BinTraceWriter();
+  BinTraceWriter(const BinTraceWriter&) = delete;
+  BinTraceWriter& operator=(const BinTraceWriter&) = delete;
 
   /// \brief Write the header with the run context and the unsealed sentinel.
   void begin(const std::string& governor, const std::string& application);
-  /// \brief Append one epoch record.
+  /// \brief Append one epoch record; a full chunk goes to the stream.
   void append(const EpochRecord& record);
-  /// \brief Patch the real record count into the header. The file is not a
-  ///        valid trace until sealed. Throws std::runtime_error when any
-  ///        write since begin() failed (badbit is sticky — disk full, I/O
-  ///        error), so a run cannot finish "successfully" with a trace its
-  ///        eventual reader will reject.
+  /// \brief Write the pending records, then patch the real record count
+  ///        into the header. The file is not a valid trace until sealed.
+  ///        Throws std::runtime_error when any write since begin() failed
+  ///        (badbit is sticky — disk full, I/O error), so a run cannot
+  ///        finish "successfully" with a trace its eventual reader will
+  ///        reject.
   void seal();
 
   [[nodiscard]] std::uint64_t records_written() const noexcept {
@@ -112,7 +128,11 @@ class BinTraceWriter {
   [[nodiscard]] bool sealed() const noexcept { return sealed_; }
 
  private:
+  void write_pending();
+
   std::ostream* out_;
+  std::unique_ptr<unsigned char[]> chunk_;  ///< Allocated by begin().
+  std::size_t pending_ = 0;                 ///< Records encoded in chunk_.
   std::uint64_t count_ = 0;
   bool begun_ = false;
   bool sealed_ = false;
@@ -237,7 +257,9 @@ std::uint64_t concat_traces(const std::vector<std::string>& inputs,
 /// Unlike the appending CSV sink, each run begin rewrites the file: O(1)
 /// random access needs one homogeneous record block per file, so a `.bt`
 /// holds exactly the most recent run. Constant memory at any run length —
-/// records stream straight to the file; sealing at run end patches the
+/// records stream to the file in BinTraceWriter chunks through an unbuffered
+/// ofstream, so the header is on disk from run begin and a live follower
+/// lags the run by less than one chunk; sealing at run end patches the
 /// header count in place.
 class BinTraceSink : public TelemetrySink {
  public:
@@ -259,7 +281,7 @@ class BinTraceSink : public TelemetrySink {
  private:
   std::string path_;
   std::unique_ptr<std::ofstream> file_;
-  std::unique_ptr<BinTraceWriter> writer_;
+  std::unique_ptr<BinTraceWriter> writer_;  ///< After file_: dies first.
 };
 
 }  // namespace prime::sim

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/binio.hpp"
 #include "common/csv.hpp"
@@ -366,6 +367,178 @@ TEST(BinTraceWriter, TruncatesOverlongNamesAtTheFieldWidth) {
   BinTraceReader reader(path);
   EXPECT_EQ(reader.governor(), std::string(kBinTraceNameSize, 'g'));
   EXPECT_EQ(reader.application(), "app");
+}
+
+// --- Chunked appends ---------------------------------------------------------
+//
+// The writer hands the stream whole chunks of kBinTraceChunkRecords records.
+// The bytes must be those of one write per record, at every chunk boundary,
+// on failure and on an aborted run.
+
+constexpr std::size_t kChunk = kBinTraceChunkRecords;
+
+/// A record whose every field depends on \p i.
+EpochRecord numbered_record(std::size_t i) {
+  const double x = static_cast<double>(i);
+  EpochRecord r;
+  r.epoch = i;
+  r.period = 0.04 + 1e-6 * x;
+  r.opp_index = i % 19;
+  r.deadline_met = i % 3 != 0;
+  r.frequency = 2e8 + 1e5 * x;
+  r.demand = 1000 * i + 7;
+  r.executed = 999 * i;
+  r.frame_time = 0.03 + 1e-7 * x;
+  r.window = 0.04;
+  r.energy = 1e-3 * x;
+  r.sensor_power = 1.5 + 1e-4 * x;
+  r.temperature = 40.0 + 1e-3 * x;
+  r.slack = -0.5 + 1e-3 * x;
+  return r;
+}
+
+/// The `.bt` bytes one write per record gives, built field by field from
+/// the layout table in bintrace.hpp. \p count is the header's count field.
+std::string per_record_bytes(const std::string& governor,
+                             const std::string& application,
+                             const std::vector<EpochRecord>& records,
+                             std::uint64_t count) {
+  std::string bytes(kBinTraceHeaderSize, '\0');
+  auto* header = reinterpret_cast<unsigned char*>(bytes.data());
+  std::copy(kBinTraceMagic.begin(), kBinTraceMagic.end(), header);
+  common::store_u32(header + 8, kBinTraceVersion);
+  common::store_u32(header + 12, kBinTraceHeaderSize);
+  common::store_u32(header + 16, kBinTraceRecordSize);
+  common::store_u64(header + 24, count);
+  std::copy(governor.begin(), governor.end(), bytes.begin() + 32);
+  std::copy(application.begin(), application.end(), bytes.begin() + 72);
+  unsigned char buf[kBinTraceRecordSize];
+  for (const EpochRecord& r : records) {
+    encode_record(r, buf);
+    bytes.append(reinterpret_cast<const char*>(buf), kBinTraceRecordSize);
+  }
+  return bytes;
+}
+
+/// A seekable in-memory buffer that logs the size of every write handed to
+/// it and, like a full disk, refuses every write past \p capacity bytes.
+class WriteLogBuf : public std::stringbuf {
+ public:
+  explicit WriteLogBuf(
+      std::size_t capacity = std::numeric_limits<std::size_t>::max())
+      : std::stringbuf(std::ios::in | std::ios::out | std::ios::binary),
+        capacity_(capacity) {}
+
+  std::vector<std::size_t> writes;
+  std::size_t accepted() const { return accepted_; }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const auto size = static_cast<std::size_t>(n);
+    if (size > capacity_ - accepted_) return 0;
+    accepted_ += size;
+    writes.push_back(size);
+    return std::stringbuf::xsputn(s, n);
+  }
+
+ private:
+  std::size_t capacity_;
+  std::size_t accepted_ = 0;
+};
+
+class BinTraceChunks : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(BinTraceChunks, BytesMatchOneWritePerRecordInWholeRecordChunks) {
+  const std::size_t n = GetParam();
+  WriteLogBuf buf;
+  std::ostream out(&buf);
+  std::vector<EpochRecord> records;
+  {
+    BinTraceWriter writer(out);
+    writer.begin("rtm-manycore", "h264");
+    for (std::size_t i = 0; i < n; ++i) {
+      records.push_back(numbered_record(i));
+      writer.append(records.back());
+    }
+    writer.seal();
+  }
+  EXPECT_EQ(buf.str(), per_record_bytes("rtm-manycore", "h264", records, n));
+
+  // The header, then one write per chunk of whole records, then the count
+  // patch; no write is larger than a chunk.
+  ASSERT_GE(buf.writes.size(), 2u);
+  EXPECT_EQ(buf.writes.front(), kBinTraceHeaderSize);
+  EXPECT_EQ(buf.writes.back(), 8u);
+  const std::vector<std::size_t> chunks(buf.writes.begin() + 1,
+                                        buf.writes.end() - 1);
+  EXPECT_EQ(chunks.size(), (n + kChunk - 1) / kChunk);
+  for (const std::size_t bytes : chunks) {
+    EXPECT_EQ(bytes % kBinTraceRecordSize, 0u);
+    EXPECT_LE(bytes, kChunk * kBinTraceRecordSize);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RecordCounts, BinTraceChunks,
+                         testing::Values(0, 1, kChunk - 1, kChunk, kChunk + 1,
+                                         3 * kChunk));
+
+TEST(BinTraceChunks, WriterHoldsLessThanOneChunkOf64KiB) {
+  static_assert(kChunk >= 1 && kChunk * kBinTraceRecordSize <= 64 * 1024);
+  WriteLogBuf buf;
+  std::ostream out(&buf);
+  BinTraceWriter writer(out);
+  writer.begin("g", "a");
+  std::size_t peak = 0;  // records appended but not yet on the stream
+  for (std::size_t i = 0; i < 3 * kChunk + 5; ++i) {
+    writer.append(numbered_record(i));
+    const std::size_t written =
+        (buf.accepted() - kBinTraceHeaderSize) / kBinTraceRecordSize;
+    peak = std::max(peak, i + 1 - written);
+  }
+  // A chunk goes out on the append that fills it.
+  EXPECT_EQ(peak, kChunk - 1);
+  for (const std::size_t bytes : buf.writes) {
+    EXPECT_LE(bytes, std::size_t{64 * 1024});
+  }
+}
+
+TEST(BinTraceWriter, SealThrowsWhenAChunkWriteFailed) {
+  // The disk fills right after the header: the first chunk write fails, the
+  // records after it still buffer, and seal() must report the failure.
+  WriteLogBuf buf(kBinTraceHeaderSize);
+  std::ostream out(&buf);
+  BinTraceWriter writer(out);
+  writer.begin("g", "a");
+  for (std::size_t i = 0; i + 1 < kChunk; ++i) writer.append(numbered_record(i));
+  EXPECT_TRUE(out.good());  // nothing handed to the stream yet
+  writer.append(numbered_record(kChunk - 1));
+  EXPECT_TRUE(out.bad());  // the chunk write failed
+  writer.append(numbered_record(kChunk));
+  EXPECT_THROW(writer.seal(), std::runtime_error);
+  EXPECT_FALSE(writer.sealed());
+}
+
+TEST(BinTraceSink, RunThatThrowsLeavesEveryAppendedRecordUnsealed) {
+  // A sink failing mid-run aborts it before on_run_end: the trace is never
+  // sealed, and destroying the sink writes every record it was given.
+  const std::string path = temp_path("aborted-run.bt");
+  const std::size_t throw_at = kChunk + 10;
+  std::vector<EpochRecord> seen;
+  {
+    BinTraceSink bt(path);
+    CallbackSink fail([&](const EpochRecord& record, gov::Governor&) {
+      seen.push_back(record);
+      if (record.epoch == throw_at) throw std::runtime_error("sink failed");
+    });
+    EXPECT_THROW((void)run_with_sinks(2 * kChunk, {&bt, &fail}),
+                 std::runtime_error);
+  }
+  ASSERT_EQ(seen.size(), throw_at + 1);
+  const BinTraceReader live = BinTraceReader::follow(path);
+  EXPECT_FALSE(live.sealed());
+  EXPECT_EQ(read_bytes(path),
+            per_record_bytes(live.governor(), live.application(), seen,
+                             kBinTraceUnsealed));
 }
 
 // --- Corrupt-input hardening -------------------------------------------------
@@ -735,8 +908,8 @@ TEST(BinTraceFollow, LiveRunObservedThroughFollowMatchesTheSealedTrace) {
     if (record.epoch % 64 != 63) return;
     try {
       BinTraceReader live = BinTraceReader::follow(path);
-      // The sink buffers through an ofstream, so the on-disk prefix may lag
-      // the epoch counter — whatever is visible must already be final bytes.
+      // The sink writes in chunks, so the on-disk prefix may lag the epoch
+      // counter — whatever is visible must already be final bytes.
       EXPECT_LE(live.record_count(), record.epoch + 1);
       observed = std::max(observed, live.record_count());
       if (live.record_count() > 0) {
@@ -752,6 +925,26 @@ TEST(BinTraceFollow, LiveRunObservedThroughFollowMatchesTheSealedTrace) {
 
   BinTraceReader sealed_reader(path);
   EXPECT_EQ(sealed_reader.record_count(), 300u);
+}
+
+TEST(BinTraceFollow, LiveFollowerLagsTheRunByLessThanOneChunk) {
+  // The sink's file is unbuffered, so the header is visible from run begin
+  // and the records only wait for their chunk to fill.
+  const std::string path = temp_path("follow-lag.bt");
+  const std::size_t frames = 3 * kChunk + 5;
+  BinTraceSink bt(path);
+  std::size_t probes = 0;
+  CallbackSink probe([&](const EpochRecord& record, gov::Governor&) {
+    if (record.epoch % 64 != 0) return;
+    ++probes;
+    BinTraceReader live = BinTraceReader::follow(path);
+    const std::size_t appended = record.epoch + 1;
+    EXPECT_LE(live.record_count(), appended);
+    EXPECT_LT(appended - live.record_count(), kChunk) << "epoch " << record.epoch;
+  });
+  (void)run_with_sinks(frames, {&bt, &probe});
+  EXPECT_EQ(probes, (frames + 63) / 64);
+  EXPECT_EQ(BinTraceReader(path).record_count(), frames);
 }
 
 }  // namespace

@@ -1,8 +1,17 @@
 /// \file test_config.cpp
-/// \brief Unit tests for the key-value configuration store.
+/// \brief Unit tests for the key-value configuration store, and for the
+///        count keys every Config and Spec consumer must fail closed on.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+
 #include "common/config.hpp"
+#include "fleet/population.hpp"
+#include "hw/platform.hpp"
+#include "sim/experiment.hpp"
 
 namespace prime::common {
 namespace {
@@ -94,3 +103,89 @@ TEST(Config, KeysSorted) {
 
 }  // namespace
 }  // namespace prime::common
+
+// --- Count keys fail closed -------------------------------------------------
+
+namespace prime {
+namespace {
+
+/// (what parses the key, the key, its smallest accepted value).
+enum class Parser { kPlatform, kPopulation, kGovernor };
+using CountCase = std::tuple<Parser, std::string, long long>;
+
+class CountKeys
+    : public testing::TestWithParam<std::tuple<CountCase, long long>> {};
+
+TEST_P(CountKeys, ValuesBelowTheMinimumAreRejectedByKey) {
+  // A negative count must not wrap through a cast to std::size_t into a
+  // huge board, population or OPP index: the parser throws before it builds
+  // anything.
+  const auto& [parser, key, min] = std::get<0>(GetParam());
+  const long long value = std::get<1>(GetParam());
+  ASSERT_LT(value, min);
+  const std::string text = std::to_string(value);
+  try {
+    switch (parser) {
+      case Parser::kPlatform: {
+        common::Config cfg;
+        cfg.set(key, text);
+        (void)hw::Platform::from_config(cfg);
+        break;
+      }
+      case Parser::kPopulation: {
+        common::Config cfg;
+        cfg.set("governors", "ondemand");
+        cfg.set("workloads", "flat(mean=2e8,cv=0.1)");
+        cfg.set(key, text);
+        (void)fleet::PopulationSpec::from_config(cfg);
+        break;
+      }
+      case Parser::kGovernor: {
+        const std::string governor =
+            key == "down-rate" ? "schedutil" : "userspace";
+        (void)sim::make_governor(governor + "(" + key + "=" + text + ")");
+        break;
+      }
+    }
+    FAIL() << key << "=" << text << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << key << "=" << text << ": " << e.what();
+  }
+}
+
+TEST(CountKeys, GovernorIndicesAcceptZero) {
+  EXPECT_NO_THROW((void)sim::make_governor("schedutil(down-rate=0)"));
+  EXPECT_NO_THROW((void)sim::make_governor("userspace(opp=0)"));
+}
+
+std::string count_case_name(
+    const testing::TestParamInfo<CountKeys::ParamType>& info) {
+  const auto& [parser, key, min] = std::get<0>(info.param);
+  (void)parser;
+  (void)min;
+  std::string id = key + (std::get<1>(info.param) == -1 ? "_neg1" : "_min");
+  for (char& c : id) {
+    if (c == '-' || c == '.') c = '_';
+  }
+  return id;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Parsers, CountKeys,
+    testing::Combine(
+        testing::Values(CountCase{Parser::kPlatform, "hw.clusters", 1},
+                        CountCase{Parser::kPlatform, "hw.cores", 1},
+                        CountCase{Parser::kPlatform, "hw.opps", 1},
+                        CountCase{Parser::kPopulation, "devices-per-cell", 1},
+                        CountCase{Parser::kPopulation, "frames", 1},
+                        CountCase{Parser::kPopulation, "energy-bins", 1},
+                        CountCase{Parser::kPopulation, "miss-bins", 1},
+                        CountCase{Parser::kPopulation, "perf-bins", 1},
+                        CountCase{Parser::kGovernor, "down-rate", 0},
+                        CountCase{Parser::kGovernor, "opp", 0}),
+        testing::Values(-1LL, std::numeric_limits<long long>::min())),
+    count_case_name);
+
+}  // namespace
+}  // namespace prime

@@ -1,18 +1,22 @@
 /// \file test_http.cpp
 /// \brief Tests for the minimal loopback HTTP server/client pair under the
 ///        dashboard sink: request parsing, fixed and streaming responses,
-///        handler errors, concurrent and misbehaving clients, and shutdown
-///        semantics.
+///        handler errors, concurrent and misbehaving clients, running out
+///        of fds, and shutdown semantics.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <ctime>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -307,6 +311,107 @@ TEST(HttpClient, ConnectFailureThrowsNamingTheEndpoint) {
   } catch (const HttpError& e) {
     EXPECT_NE(std::string(e.what()).find(std::to_string(dead_port)),
               std::string::npos);
+  }
+}
+
+/// Exit status of the out-of-fds child below.
+enum OutOfFdsOutcome : int { kServed = 0, kSetupFailed, kSpun, kNotServed };
+
+/// Runs in a forked child: a server whose process has no fd left for
+/// accept4, a client waiting in its backlog, then one fd freed.
+int out_of_fds_child() {
+  ::alarm(20);  // a hung child dies by SIGALRM instead of hanging the suite
+  HttpServer server(0, [](const HttpRequest&) {
+    HttpResponse res;
+    res.body = "hello";
+    res.content_type = "text/plain";
+    return res;
+  });
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (client < 0) return kSetupFailed;
+  // Lower this process's own fd limit to a few above the lowest free fd,
+  // then take every fd left under it.
+  const int lowest = ::dup(client);
+  if (lowest < 0) return kSetupFailed;
+  ::close(lowest);
+  rlimit limit{};
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return kSetupFailed;
+  limit.rlim_cur = static_cast<rlim_t>(lowest) + 4;
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return kSetupFailed;
+  std::vector<int> hogs;
+  for (int fd; (fd = ::dup(client)) >= 0;) hogs.push_back(fd);
+  if (errno != EMFILE || hogs.empty()) return kSetupFailed;
+
+  // connect() needs no new fd; the server's accept4 does, and fails.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    return kSetupFailed;
+  }
+  const std::string request = "GET / HTTP/1.1\r\nHost: x\r\n\r\n";
+  if (::send(client, request.data(), request.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(request.size())) {
+    return kSetupFailed;
+  }
+
+  // Half a second of refused accepts: a spinning loop burns it all on CPU.
+  const auto cpu_seconds = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+  const double cpu0 = cpu_seconds();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu = cpu_seconds() - cpu0;
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall0)
+                          .count();
+  if (cpu > 0.2 * wall) return kSpun;
+
+  // Free one fd: the waiting client must be served.
+  ::close(hogs.back());
+  std::string reply;
+  char buf[256];
+  pollfd p{client, POLLIN, 0};
+  while (::poll(&p, 1, 5000) > 0) {
+    const ssize_t n = ::recv(client, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  const bool ok = reply.rfind("HTTP/1.1 200", 0) == 0 &&
+                  reply.size() >= 5 &&
+                  reply.compare(reply.size() - 5, 5, "hello") == 0;
+  return ok ? kServed : kNotServed;
+}
+
+TEST(HttpServer, OutOfFdsNeitherSpinsNorLosesTheWaitingClient) {
+  // accept4 failing with EMFILE leaves the connection in the backlog, so the
+  // listen fd stays readable; polling it would spin at full CPU. The child
+  // lowers only its own fd limit, so nothing else in this process starves.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) ::_exit(out_of_fds_child());
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  switch (WEXITSTATUS(status)) {
+    case kServed:
+      break;
+    case kSetupFailed:
+      FAIL() << "could not exhaust the child's fds";
+      break;
+    case kSpun:
+      FAIL() << "the server spun on its listen fd while out of fds";
+      break;
+    case kNotServed:
+      FAIL() << "the waiting client was not served once an fd was free";
+      break;
+    default:
+      FAIL() << "child exited with " << WEXITSTATUS(status);
   }
 }
 

@@ -216,26 +216,41 @@ INSTANTIATE_TEST_SUITE_P(Discounts, QTableContraction,
 // --- update_and_best_action == update() then best_action() -------------------
 
 /// How the table's cells (and the rewards) are filled.
-enum class Fill { kRandom, kTies, kSignedZeros, kNanFirst, kNanInside };
+enum class Fill { kRandom, kTies, kSignedZeros, kNanFirst, kNanInside, kInf };
+
+/// Which cell each update targets.
+enum class Target {
+  kOtherRow,       ///< random (s, a), s_next != s
+  kSameRow,        ///< random (s, a), s_next == s
+  kSameRowArgmax,  ///< a = argmax of row s, s_next == s: the argmax may fall
+};
 
 /// states x actions.
 using Shape = std::pair<std::size_t, std::size_t>;
 
-/// (shape, fill, whether every update has s == s_next).
+/// (shape, fill, target).
 class QTableFusedGrid
-    : public testing::TestWithParam<std::tuple<Shape, Fill, bool>> {
+    : public testing::TestWithParam<std::tuple<Shape, Fill, Target>> {
  protected:
   std::size_t states() const { return std::get<0>(GetParam()).first; }
   std::size_t actions() const { return std::get<0>(GetParam()).second; }
   Fill fill() const { return std::get<1>(GetParam()); }
-  bool self_loop() const { return std::get<2>(GetParam()); }
+  Target target() const { return std::get<2>(GetParam()); }
 
   double draw(common::Rng& rng) const {
+    const double inf = std::numeric_limits<double>::infinity();
     switch (fill()) {
       case Fill::kTies:
         return static_cast<double>(rng.uniform_int(-1, 1));
       case Fill::kSignedZeros:
         return rng.bernoulli(0.5) ? 0.0 : -0.0;
+      case Fill::kInf:
+        // inf - inf in an update also feeds NaN cells into the rows.
+        switch (rng.uniform_int(0, 3)) {
+          case 0: return inf;
+          case 1: return -inf;
+          default: return rng.uniform(-1.0, 1.0);
+        }
       default:
         return rng.uniform(-1.0, 1.0);
     }
@@ -269,21 +284,32 @@ TEST_P(QTableFusedGrid, MatchesUpdateThenBestAction) {
   common::Rng rng(states() * 131 + actions());
   QTable fused = make_table(rng);
   QTable reference = fused;
+  int fell = 0;  // updates that lowered the cell they targeted
   for (int step = 0; step < 400; ++step) {
     const auto s = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(states()) - 1));
-    const auto a = static_cast<std::size_t>(
+    const auto drawn_a = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(actions()) - 1));
-    const std::size_t s_next =
-        self_loop() ? s : (s + 1 + step % (states() - 1)) % states();
+    const std::size_t a = target() == Target::kSameRowArgmax
+                              ? reference.best_action(s)
+                              : drawn_a;
+    const std::size_t s_next = target() == Target::kOtherRow
+                                   ? (s + 1 + step % (states() - 1)) % states()
+                                   : s;
     const double reward = draw(rng);
     const double alpha = step % 3 == 0 ? 1.0 : 0.3;
     const double discount = step % 5 == 0 ? 0.0 : 0.9;
     const std::size_t got =
         fused.update_and_best_action(s, a, reward, s_next, alpha, discount);
+    const double before = reference.q(s, a);
     reference.update(s, a, reward, s_next, alpha, discount);
+    if (reference.q(s, a) < before) ++fell;
     ASSERT_EQ(got, reference.best_action(s_next)) << "step " << step;
     expect_same_bits(fused, reference);
+  }
+  // The argmax-targeting mode exists to reach the "argmax fell" rescan.
+  if (target() == Target::kSameRowArgmax && fill() == Fill::kRandom) {
+    EXPECT_GT(fell, 0);
   }
 }
 
@@ -300,12 +326,13 @@ TEST_P(QTableFusedGrid, BoundsCheckedLikeUpdate) {
 
 std::string fused_grid_name(
     const testing::TestParamInfo<QTableFusedGrid::ParamType>& info) {
-  static const char* const kFill[] = {"random", "ties", "signed_zeros",
-                                      "nan_first", "nan_inside"};
+  static const char* const kFill[] = {"random",    "ties",       "signed_zeros",
+                                      "nan_first", "nan_inside", "inf"};
+  static const char* const kTarget[] = {"other", "self", "self_argmax"};
   const Shape shape = std::get<0>(info.param);
   return std::to_string(shape.first) + "x" + std::to_string(shape.second) +
-         "_" + kFill[static_cast<int>(std::get<1>(info.param))] +
-         (std::get<2>(info.param) ? "_self" : "_other");
+         "_" + kFill[static_cast<int>(std::get<1>(info.param))] + "_" +
+         kTarget[static_cast<int>(std::get<2>(info.param))];
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -313,8 +340,9 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(
         testing::Values(Shape(2, 1), Shape(2, 2), Shape(3, 5), Shape(25, 19)),
         testing::Values(Fill::kRandom, Fill::kTies, Fill::kSignedZeros,
-                        Fill::kNanFirst, Fill::kNanInside),
-        testing::Bool()),
+                        Fill::kNanFirst, Fill::kNanInside, Fill::kInf),
+        testing::Values(Target::kOtherRow, Target::kSameRow,
+                        Target::kSameRowArgmax)),
     fused_grid_name);
 
 }  // namespace
