@@ -246,7 +246,8 @@ void HttpServer::Impl::run() {
   std::vector<pollfd> fds;
   // Set while accept4 fails for want of a resource (EMFILE, ENFILE, ENOBUFS,
   // ENOMEM): the refused connection keeps the listen fd readable, so polling
-  // it would spin. Accepting resumes when a connection closes or at the time.
+  // it would spin. Accepting resumes when a connection closes (freeing an
+  // fd) or at this time point, one kStreamTick after the failure.
   std::optional<Clock::time_point> accept_resume;
   while (!stopping.load(std::memory_order_relaxed)) {
     // Block until I/O or the nearest deadline; with no connection, until I/O.
