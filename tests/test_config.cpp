@@ -161,9 +161,7 @@ TEST(CountKeys, GovernorIndicesAcceptZero) {
 
 std::string count_case_name(
     const testing::TestParamInfo<CountKeys::ParamType>& info) {
-  const auto& [parser, key, min] = std::get<0>(info.param);
-  (void)parser;
-  (void)min;
+  const std::string& key = std::get<1>(std::get<0>(info.param));
   std::string id = key + (std::get<1>(info.param) == -1 ? "_neg1" : "_min");
   for (char& c : id) {
     if (c == '-' || c == '.') c = '_';
