@@ -2,13 +2,12 @@
 /// \brief Population mode: run a fleet of simulated devices across worker
 ///        processes and print the merged distributional report.
 ///
-/// The driver half launches this same binary as its workers (`mode=worker`
-/// is appended to argv[0] together with the population's canonical
-/// arguments), so one executable is both orchestrator and shard runner —
-/// there is no separate worker binary to install or locate.
+/// Each shard worker is a forked child of this process that runs the shard
+/// in-process (fleet::FleetDriver), so there is no separate worker binary to
+/// install or locate.
 ///
 /// Usage:
-///   fleet_tool governors=ondemand,rtm workloads=h264 fps=25 \
+///   fleet_tool governors=ondemand,rtm workloads=h264 fps=25
 ///              devices-per-cell=8 frames=200 [seed=42] [stream=1]
 ///              [shards=4] [workers=4] [retries=2] [out=fleet-out]
 ///              [checkpoint-every=0]   worker checkpoint cadence in devices
@@ -21,22 +20,15 @@
 ///              [dashboard-port-base=0] shard i serves live snapshots on
 ///                                     loopback port base+i (dash_tool reads
 ///                                     them; 0 = off)
-///
-/// Internal worker invocation (what the driver execs; not for direct use):
-///   fleet_tool mode=worker <population args> shard=I shards=N out=DIR
-///              checkpoint-every=K attempt=A [fail-after=D]
-///              [dashboard-port=P] [dashboard-every=N]
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "common/config.hpp"
 #include "fleet/driver.hpp"
-#include "fleet/runner.hpp"
 
 namespace {
 
@@ -52,29 +44,6 @@ long peak_rss_mb() {
   return kb / 1024;  // ru_maxrss is KB on Linux
 }
 
-int worker_main(const prime::common::Config& cfg) {
-  using namespace prime;
-  const fleet::PopulationSpec pop = fleet::PopulationSpec::from_config(cfg);
-  const auto shards = static_cast<std::size_t>(cfg.get_int("shards", 1));
-  const auto shard_index = static_cast<std::size_t>(cfg.get_int("shard", 0));
-  const std::string out_dir = cfg.get_string("out", "fleet-out");
-  const fleet::ShardPlan plan(pop.device_count(), shards);
-
-  fleet::ShardRunnerOptions opts;
-  opts.summary_path = fleet::shard_summary_path(out_dir, shard_index);
-  opts.checkpoint_path = fleet::shard_checkpoint_path(out_dir, shard_index);
-  opts.checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
-  opts.attempt = static_cast<std::size_t>(cfg.get_int("attempt", 0));
-  opts.fail_after_devices =
-      static_cast<std::size_t>(cfg.get_int("fail-after", 0));
-  opts.dashboard_port =
-      static_cast<std::uint16_t>(cfg.get_int("dashboard-port", 0));
-  opts.dashboard_every =
-      static_cast<std::size_t>(cfg.get_int("dashboard-every", 1000));
-  return fleet::run_worker(pop, plan.shard(shard_index), opts);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -84,8 +53,6 @@ int main(int argc, char** argv) {
   cfg.parse_args(argc, argv);
 
   try {
-    if (cfg.get_string("mode", "run") == "worker") return worker_main(cfg);
-
     const fleet::PopulationSpec pop = fleet::PopulationSpec::from_config(cfg);
     if (pop.governors.empty() || pop.workloads.empty()) {
       std::cerr << "Usage: fleet_tool governors=ondemand,rtm workloads=h264 "
@@ -98,23 +65,13 @@ int main(int argc, char** argv) {
     }
 
     fleet::FleetOptions options;
-    options.shards = static_cast<std::size_t>(cfg.get_int("shards", 1));
-    options.workers = static_cast<std::size_t>(
-        cfg.get_int("workers", static_cast<long long>(options.shards)));
-    options.retries = static_cast<std::size_t>(cfg.get_int("retries", 2));
+    options.shards = cfg.get_count("shards", 1);
+    options.workers = cfg.get_count("workers", options.shards, 0);
+    options.retries = cfg.get_count("retries", 2, 0);
     options.out_dir = cfg.get_string("out", "fleet-out");
-    options.checkpoint_every =
-        static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
-    options.fail_first_attempt_after =
-        static_cast<std::size_t>(cfg.get_int("fail-after", 0));
-    options.dashboard_port_base =
-        static_cast<std::uint32_t>(cfg.get_int("dashboard-port-base", 0));
-    if (options.workers > 0) {
-      options.worker_argv = {argv[0], "mode=worker"};
-      for (const auto& arg : pop.to_args()) {
-        options.worker_argv.push_back(arg);
-      }
-    }
+    options.checkpoint_every = cfg.get_count("checkpoint-every", 0, 0);
+    options.fail_first_attempt_after = cfg.get_count("fail-after", 0, 0);
+    options.dashboard_port_base = cfg.get_count("dashboard-port-base", 0, 0);
 
     fleet::FleetDriver driver(options);
     const fleet::PopulationReport report = driver.run(pop);

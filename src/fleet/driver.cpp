@@ -6,12 +6,13 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <iostream>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -45,10 +46,7 @@ bool shard_already_done(const std::string& path, std::uint64_t fingerprint,
                         const Shard& shard) {
   try {
     const ShardSummary s = ShardSummary::load_file(path);
-    return s.fingerprint == fingerprint && s.shard.index == shard.index &&
-           s.shard.count == shard.count &&
-           s.shard.device_begin == shard.device_begin &&
-           s.shard.device_end == shard.device_end && s.complete();
+    return s.fingerprint == fingerprint && s.shard == shard && s.complete();
   } catch (...) {
     return false;
   }
@@ -68,32 +66,6 @@ ShardRunnerOptions worker_options(const FleetOptions& fleet,
         static_cast<std::uint16_t>(fleet.dashboard_port_base + shard_index);
   }
   return opts;
-}
-
-[[noreturn]] void exec_worker(const FleetOptions& fleet,
-                              std::size_t shard_index, std::size_t attempt) {
-  std::vector<std::string> argv = fleet.worker_argv;
-  argv.push_back("shard=" + std::to_string(shard_index));
-  argv.push_back("shards=" + std::to_string(fleet.shards));
-  argv.push_back("out=" + fleet.out_dir);
-  argv.push_back("checkpoint-every=" + std::to_string(fleet.checkpoint_every));
-  argv.push_back("attempt=" + std::to_string(attempt));
-  if (fleet.fail_first_attempt_after > 0) {
-    argv.push_back("fail-after=" +
-                   std::to_string(fleet.fail_first_attempt_after));
-  }
-  if (fleet.dashboard_port_base != 0) {
-    argv.push_back("dashboard-port=" +
-                   std::to_string(fleet.dashboard_port_base + shard_index));
-  }
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (auto& arg : argv) cargv.push_back(arg.data());
-  cargv.push_back(nullptr);
-  ::execv(cargv[0], cargv.data());
-  std::cerr << "fleet: execv '" << argv[0] << "' failed: "
-            << std::strerror(errno) << "\n";
-  std::_Exit(127);
 }
 
 /// Fold one cell's per-shard policy records into a fleet `.qpol` entry in
@@ -208,7 +180,8 @@ FleetDriver::FleetDriver(FleetOptions options) : options_(std::move(options)) {
 PopulationReport FleetDriver::run(const PopulationSpec& pop) {
   pop.validate();
   if (options_.dashboard_port_base != 0 &&
-      options_.dashboard_port_base + options_.shards - 1 > 65535) {
+      (options_.dashboard_port_base > 65535 ||
+       options_.shards - 1 > 65535 - options_.dashboard_port_base)) {
     throw std::invalid_argument(
         "fleet: dashboard-port-base " +
         std::to_string(options_.dashboard_port_base) + " + " +
@@ -270,12 +243,9 @@ void FleetDriver::run_processes(const PopulationSpec& pop,
                        std::strerror(errno));
     }
     if (pid == 0) {
-      // Child. Either become the worker binary or run the worker in-process;
-      // _Exit either way — the child must never unwind into the parent's
-      // stack (gtest, buffered streams, atexit handlers).
-      if (!options_.worker_argv.empty()) {
-        exec_worker(options_, shard_index, attempt);
-      }
+      // Child: run the worker in-process and _Exit — the child must never
+      // unwind into the parent's stack (gtest, buffered streams, atexit
+      // handlers).
       const int code = run_worker(pop, plan.shard(shard_index),
                                   worker_options(options_, shard_index,
                                                  attempt));

@@ -12,15 +12,9 @@
 /// PopulationReport whose numbers are bit-identical no matter how the
 /// population was sharded or how often workers died.
 ///
-/// Two worker mechanisms share that control loop:
-///
-///   - **exec mode** (worker_argv non-empty): fork + execv of the given argv
-///     (fleet_tool re-invoking itself with `mode=worker`) plus per-shard
-///     arguments. What production population runs use — workers are real
-///     isolated processes.
-///   - **fork mode** (worker_argv empty): fork without exec; the child runs
-///     run_worker in-process and _exits. What tests use — no dependency on
-///     a binary's on-disk location, same process-failure semantics.
+/// Every worker is a forked child that runs run_worker in-process and
+/// _exits: a real isolated process for crash and memory purposes, with no
+/// dependency on a binary's on-disk location.
 ///
 /// `workers == 0` degenerates to sequential in-process execution of every
 /// shard (no fork at all) — the reference the differential tests compare
@@ -48,10 +42,6 @@ struct FleetOptions {
   /// Worker-side checkpoint cadence in devices (0 = crash loses the whole
   /// shard attempt).
   std::size_t checkpoint_every = 0;
-  /// Worker command line for exec mode: typically {argv0, "mode=worker"} plus
-  /// the population's to_args(); the driver appends shard=, shards=, out=,
-  /// checkpoint-every= and attempt=. Empty selects fork mode.
-  std::vector<std::string> worker_argv;
   /// Test hook, forwarded to every shard's first attempt (see
   /// ShardRunnerOptions::fail_after_devices).
   std::size_t fail_first_attempt_after = 0;
@@ -59,7 +49,7 @@ struct FleetOptions {
   /// loopback port base + i (see ShardRunnerOptions::dashboard_port), so a
   /// driver-side poller can watch every shard in flight. 0 disables. run()
   /// rejects a base whose highest shard port would exceed 65535.
-  std::uint32_t dashboard_port_base = 0;
+  std::size_t dashboard_port_base = 0;
 };
 
 /// \brief One row of the population report: a cell's identity plus the
@@ -108,7 +98,9 @@ class FleetDriver {
 
   /// \brief Run the whole population and return the merged report. Throws
   ///        FleetError when a shard exhausts its retry budget or the merge
-  ///        finds missing/foreign/overlapping summaries.
+  ///        finds missing/foreign/overlapping summaries. Forks one child per
+  ///        worker launch when `workers > 0`, so the calling process must be
+  ///        single-threaded.
   PopulationReport run(const PopulationSpec& pop);
 
   /// \brief Worker launches performed by the last run() (includes retries).

@@ -13,8 +13,8 @@ namespace prime::fleet {
 namespace {
 
 /// Round-trip double rendering: 17 significant digits reproduce the exact
-/// bits through strtod, so a worker re-parsing the driver's argv builds a
-/// fingerprint-identical population.
+/// bits through strtod, so to_args() parsed back through from_config builds
+/// a fingerprint-identical population.
 std::string format_exact(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);

@@ -99,9 +99,8 @@ struct PopulationSpec {
   ///        equal. Stamped into shard summaries and checkpoints.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// \brief Canonical key=value encoding (the fingerprint input, and the
-  ///        argv tokens the driver hands worker processes). Doubles are
-  ///        rendered with round-trip precision.
+  /// \brief Canonical key=value encoding (the fingerprint input). Doubles
+  ///        are rendered with round-trip precision.
   [[nodiscard]] std::vector<std::string> to_args() const;
   /// \brief Parse the to_args() keys back out of a Config (also the surface
   ///        fleet_tool's own command line goes through). Unset keys keep the
@@ -119,6 +118,8 @@ struct Shard {
   [[nodiscard]] std::size_t size() const noexcept {
     return device_end - device_begin;
   }
+  /// \brief Same shard of the same plan: all four fields match.
+  [[nodiscard]] bool operator==(const Shard&) const noexcept = default;
 };
 
 /// \brief Contiguous, near-equal partition of a population into shards: the

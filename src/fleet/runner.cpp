@@ -19,6 +19,9 @@ namespace prime::fleet {
 
 namespace {
 
+/// SSE publication cadence in epochs for a shard's live dashboard.
+constexpr std::size_t kDashboardEvery = 1000;
+
 /// A resumed checkpoint plus the live per-cell mergers rebuilt from its
 /// policy accumulators — both or neither, so a resumed session's policy fold
 /// continues bit-identically to an uninterrupted one.
@@ -37,10 +40,7 @@ std::optional<ResumedShard> try_resume(const std::string& checkpoint_path,
   if (checkpoint_path.empty()) return std::nullopt;
   try {
     ShardSummary ck = ShardSummary::load_file(checkpoint_path);
-    if (ck.fingerprint != fingerprint || ck.shard.index != shard.index ||
-        ck.shard.count != shard.count ||
-        ck.shard.device_begin != shard.device_begin ||
-        ck.shard.device_end != shard.device_end) {
+    if (ck.fingerprint != fingerprint || ck.shard != shard) {
       return std::nullopt;  // different population or partition: start over
     }
     // Rebuild the live mergers from the checkpointed accumulator bytes. Any
@@ -101,10 +101,6 @@ DeviceOutcome run_device_outcome(const PopulationSpec& pop,
   return out;
 }
 
-sim::RunResult run_device(const PopulationSpec& pop, const DeviceSpec& dev) {
-  return run_device_outcome(pop, dev).result;
-}
-
 ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
                        const ShardRunnerOptions& opts) {
   pop.validate();
@@ -139,7 +135,7 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
   std::vector<sim::TelemetrySink*> sinks;
   if (opts.dashboard_port != 0) {
     dashboard = std::make_unique<sim::DashboardSink>(opts.dashboard_port,
-                                                     opts.dashboard_every);
+                                                     kDashboardEvery);
     sinks.push_back(dashboard.get());
   }
 

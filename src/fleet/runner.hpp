@@ -2,9 +2,9 @@
 /// \brief The shard worker: simulates one shard's devices and writes the
 ///        sealed shard summary, checkpointing progress at device boundaries.
 ///
-/// run_shard is the body of a fleet worker process (fleet_tool's internal
-/// `mode=worker`), but it is an ordinary function — tests run it in-process
-/// and the driver's fork-mode runs it in a forked child without exec.
+/// run_shard is the body of a fleet worker process, but it is an ordinary
+/// function — tests run it in-process and the driver runs it in a forked
+/// child.
 ///
 /// Resume semantics: when a shard checkpoint exists (a mid-shard
 /// ShardSummary at checkpoint_path) and matches this population's
@@ -48,8 +48,6 @@ struct ShardRunnerOptions {
   /// a driver polling /snapshot sees the current device's aggregates and a
   /// runs_completed count of devices finished this session.
   std::uint16_t dashboard_port = 0;
-  /// SSE publication cadence in epochs for dashboard_port.
-  std::size_t dashboard_every = 1000;
 };
 
 /// \brief One device's full outcome: the run aggregates plus the trained
@@ -65,19 +63,14 @@ struct DeviceOutcome {
 };
 
 /// \brief Simulate one device of \p pop on a fresh platform and return its
-///        run aggregates. The single definition of "run device i" shared by
-///        the shard runner, benches and tests — trajectories depend only on
-///        \p dev, never on who is asking.
-[[nodiscard]] sim::RunResult run_device(const PopulationSpec& pop,
-                                        const DeviceSpec& dev);
-
-/// \brief run_device plus the trained governor state — what the shard
-///        runner's per-cell policy accumulation consumes. The simulated
-///        trajectory is identical to run_device's (the state capture happens
-///        after the run). \p sinks are observation-only telemetry attached to
-///        the device's run (the shard dashboard rides here) — sinks never
-///        influence the trajectory, so the bit-identity guarantees hold with
-///        or without them.
+///        run aggregates plus the trained governor state — what the shard
+///        runner's per-cell policy accumulation consumes. The single
+///        definition of "run device i": trajectories depend only on \p dev,
+///        never on who is asking, and the state capture happens after the
+///        run. \p sinks are observation-only telemetry attached to the
+///        device's run (the shard dashboard rides here) — sinks never
+///        influence the trajectory, so the bit-identity guarantees hold
+///        with or without them.
 [[nodiscard]] DeviceOutcome run_device_outcome(
     const PopulationSpec& pop, const DeviceSpec& dev,
     const std::vector<sim::TelemetrySink*>& sinks = {});
@@ -90,8 +83,8 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
 
 /// \brief Process-boundary wrapper around run_shard: catches every error,
 ///        reports it on stderr, and returns an exit code (0 ok,
-///        kWorkerFailureExit on failure) instead of throwing. What worker
-///        children — forked or exec'd — should call.
+///        kWorkerFailureExit on failure) instead of throwing. What forked
+///        worker children call.
 int run_worker(const PopulationSpec& pop, const Shard& shard,
                const ShardRunnerOptions& opts) noexcept;
 

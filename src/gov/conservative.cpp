@@ -60,8 +60,7 @@ const GovernorRegistrar kRegisterConservative{
       ConservativeParams p;
       p.up_threshold = spec.get_double("up", p.up_threshold);
       p.down_threshold = spec.get_double("down", p.down_threshold);
-      p.freq_step = static_cast<std::size_t>(
-          spec.get_int("step", static_cast<long long>(p.freq_step)));
+      p.freq_step = spec.get_count("step", p.freq_step, 0);
       return std::make_unique<ConservativeGovernor>(p);
     }};
 

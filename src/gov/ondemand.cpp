@@ -80,8 +80,7 @@ const GovernorRegistrar kRegisterOndemand{
       OndemandParams p;
       p.up_threshold = spec.get_double("up", p.up_threshold);
       p.down_differential = spec.get_double("down", p.down_differential);
-      p.sampling_epochs = static_cast<std::size_t>(
-          spec.get_int("sampling", static_cast<long long>(p.sampling_epochs)));
+      p.sampling_epochs = spec.get_count("sampling", p.sampling_epochs, 0);
       return std::make_unique<OndemandGovernor>(p);
     }};
 

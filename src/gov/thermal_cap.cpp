@@ -147,8 +147,7 @@ std::unique_ptr<Governor> make_thermal_cap(const common::Spec& spec,
   ThermalCapParams p;
   p.trip = spec.get_double("trip", p.trip);
   p.release = spec.get_double("release", p.release);
-  p.cap_step = static_cast<std::size_t>(
-      spec.get_int("step", static_cast<long long>(p.cap_step)));
+  p.cap_step = spec.get_count("step", p.cap_step, 0);
   auto inner = governor_registry().create(
       spec.get_string("inner", "rtm-manycore"), effective_seed(spec, seed));
   return std::make_unique<ThermalCapGovernor>(std::move(inner), p);

@@ -132,8 +132,7 @@ const WorkloadRegistrar kRegisterVideo{
     [](const common::Spec& spec) {
       VideoParams p;
       p.mean_cycles = spec.get_double("mean", p.mean_cycles);
-      p.gop_length = static_cast<std::size_t>(
-          spec.get_int("gop", static_cast<long long>(p.gop_length)));
+      p.gop_length = spec.get_count("gop", p.gop_length, 0);
       p.i_weight = spec.get_double("i-weight", p.i_weight);
       p.p_weight = spec.get_double("p-weight", p.p_weight);
       p.b_weight = spec.get_double("b-weight", p.b_weight);

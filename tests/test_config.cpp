@@ -12,6 +12,7 @@
 #include "fleet/population.hpp"
 #include "hw/platform.hpp"
 #include "sim/experiment.hpp"
+#include "wl/suites.hpp"
 
 namespace prime::common {
 namespace {
@@ -109,9 +110,10 @@ TEST(Config, KeysSorted) {
 namespace prime {
 namespace {
 
-/// (what parses the key, the key, its smallest accepted value).
-enum class Parser { kPlatform, kPopulation, kGovernor };
-using CountCase = std::tuple<Parser, std::string, long long>;
+/// (what parses the key, the governor or workload that owns it — "" for
+/// platform and population keys —, the key, its smallest accepted value).
+enum class Parser { kPlatform, kPopulation, kGovernor, kWorkload };
+using CountCase = std::tuple<Parser, std::string, std::string, long long>;
 
 class CountKeys
     : public testing::TestWithParam<std::tuple<CountCase, long long>> {};
@@ -120,7 +122,7 @@ TEST_P(CountKeys, ValuesBelowTheMinimumAreRejectedByKey) {
   // A negative count must not wrap through a cast to std::size_t into a
   // huge board, population or OPP index: the parser throws before it builds
   // anything.
-  const auto& [parser, key, min] = std::get<0>(GetParam());
+  const auto& [parser, spec, key, min] = std::get<0>(GetParam());
   const long long value = std::get<1>(GetParam());
   ASSERT_LT(value, min);
   const std::string text = std::to_string(value);
@@ -140,12 +142,12 @@ TEST_P(CountKeys, ValuesBelowTheMinimumAreRejectedByKey) {
         (void)fleet::PopulationSpec::from_config(cfg);
         break;
       }
-      case Parser::kGovernor: {
-        const std::string governor =
-            key == "down-rate" ? "schedutil" : "userspace";
-        (void)sim::make_governor(governor + "(" + key + "=" + text + ")");
+      case Parser::kGovernor:
+        (void)sim::make_governor(spec + "(" + key + "=" + text + ")");
         break;
-      }
+      case Parser::kWorkload:
+        (void)wl::make_workload(spec + "(" + key + "=" + text + ")");
+        break;
     }
     FAIL() << key << "=" << text << " accepted";
   } catch (const std::invalid_argument& e) {
@@ -154,15 +156,21 @@ TEST_P(CountKeys, ValuesBelowTheMinimumAreRejectedByKey) {
   }
 }
 
-TEST(CountKeys, GovernorIndicesAcceptZero) {
+TEST(CountKeys, SpecKeysAcceptZero) {
   EXPECT_NO_THROW((void)sim::make_governor("schedutil(down-rate=0)"));
   EXPECT_NO_THROW((void)sim::make_governor("userspace(opp=0)"));
+  EXPECT_NO_THROW((void)sim::make_governor("conservative(step=0)"));
+  EXPECT_NO_THROW((void)sim::make_governor("thermal-cap(step=0)"));
+  EXPECT_NO_THROW((void)sim::make_governor("ondemand(sampling=0)"));
+  EXPECT_NO_THROW((void)wl::make_workload("video(gop=0)"));
 }
 
 std::string count_case_name(
     const testing::TestParamInfo<CountKeys::ParamType>& info) {
-  const std::string& key = std::get<1>(std::get<0>(info.param));
-  std::string id = key + (std::get<1>(info.param) == -1 ? "_neg1" : "_min");
+  const std::string& spec = std::get<1>(std::get<0>(info.param));
+  const std::string& key = std::get<2>(std::get<0>(info.param));
+  std::string id = (spec.empty() ? key : spec + "_" + key) +
+                   (std::get<1>(info.param) == -1 ? "_neg1" : "_min");
   for (char& c : id) {
     if (c == '-' || c == '.') c = '_';
   }
@@ -172,16 +180,21 @@ std::string count_case_name(
 INSTANTIATE_TEST_SUITE_P(
     Parsers, CountKeys,
     testing::Combine(
-        testing::Values(CountCase{Parser::kPlatform, "hw.clusters", 1},
-                        CountCase{Parser::kPlatform, "hw.cores", 1},
-                        CountCase{Parser::kPlatform, "hw.opps", 1},
-                        CountCase{Parser::kPopulation, "devices-per-cell", 1},
-                        CountCase{Parser::kPopulation, "frames", 1},
-                        CountCase{Parser::kPopulation, "energy-bins", 1},
-                        CountCase{Parser::kPopulation, "miss-bins", 1},
-                        CountCase{Parser::kPopulation, "perf-bins", 1},
-                        CountCase{Parser::kGovernor, "down-rate", 0},
-                        CountCase{Parser::kGovernor, "opp", 0}),
+        testing::Values(
+            CountCase{Parser::kPlatform, "", "hw.clusters", 1},
+            CountCase{Parser::kPlatform, "", "hw.cores", 1},
+            CountCase{Parser::kPlatform, "", "hw.opps", 1},
+            CountCase{Parser::kPopulation, "", "devices-per-cell", 1},
+            CountCase{Parser::kPopulation, "", "frames", 1},
+            CountCase{Parser::kPopulation, "", "energy-bins", 1},
+            CountCase{Parser::kPopulation, "", "miss-bins", 1},
+            CountCase{Parser::kPopulation, "", "perf-bins", 1},
+            CountCase{Parser::kGovernor, "schedutil", "down-rate", 0},
+            CountCase{Parser::kGovernor, "userspace", "opp", 0},
+            CountCase{Parser::kGovernor, "conservative", "step", 0},
+            CountCase{Parser::kGovernor, "thermal-cap", "step", 0},
+            CountCase{Parser::kGovernor, "ondemand", "sampling", 0},
+            CountCase{Parser::kWorkload, "video", "gop", 0}),
         testing::Values(-1LL, std::numeric_limits<long long>::min())),
     count_case_name);
 

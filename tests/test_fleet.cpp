@@ -5,12 +5,15 @@
 ///        differential and failure-injection properties.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -581,6 +584,22 @@ TEST(FleetFailureInjection, RetryBudgetExhaustionThrows) {
   EXPECT_THROW((void)driver.run(pop), FleetError);
 }
 
+TEST(FleetDriver, DashboardPortsPast65535AreRejectedBeforeAnyFork) {
+  const PopulationSpec pop = tiny_population();
+  for (const auto& [base, shards] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {65535, 2}, {std::size_t{1} << 32, 1}, {SIZE_MAX, 2}}) {
+    FleetOptions options;
+    options.shards = shards;
+    options.workers = 1;
+    options.out_dir = temp_dir("fleet-ports");
+    options.dashboard_port_base = base;
+    FleetDriver driver(options);
+    EXPECT_THROW((void)driver.run(pop), std::invalid_argument) << base;
+    EXPECT_EQ(driver.launches(), 0u) << base;
+  }
+}
+
 TEST(FleetMerge, RejectsSummariesOfADifferentPopulation) {
   const PopulationSpec pop = tiny_population();
   const std::string dir = temp_dir("fleet-foreign");
@@ -627,6 +646,53 @@ TEST(FleetRunner, CorruptCheckpointFallsBackToAFreshStart) {
   const ShardSummary s = run_shard(pop, plan.shard(0), opts);
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.started_at_device, s.shard.device_begin);
+}
+
+TEST(FleetRunner, CheckpointOfAnotherShardPlanIsNotResumed) {
+  // Shard 0 of a 2-shard and of a 3-shard plan share the fingerprint, the
+  // index and device_begin; only count and device_end tell them apart.
+  const PopulationSpec pop = tiny_population();
+  const std::string dir = temp_dir("fleet-replan-ckpt");
+  const ShardPlan two(pop.device_count(), 2);
+  const ShardPlan three(pop.device_count(), 3);
+  ShardRunnerOptions opts;
+  opts.summary_path = dir + "/two.fsum";
+  opts.checkpoint_path = dir + "/shard0.ckpt";
+  opts.checkpoint_every = 1;
+  (void)run_shard(pop, two.shard(0), opts);
+  const ShardSummary ck = ShardSummary::load_file(opts.checkpoint_path);
+  ASSERT_EQ(ck.shard, two.shard(0));
+  ASSERT_GT(ck.next_device, ck.shard.device_begin);
+
+  opts.summary_path = dir + "/three.fsum";
+  opts.checkpoint_every = 0;
+  const ShardSummary s = run_shard(pop, three.shard(0), opts);
+  EXPECT_EQ(s.shard, three.shard(0));
+  EXPECT_NE(s.shard, ck.shard);
+  EXPECT_EQ(s.started_at_device, s.shard.device_begin);
+  EXPECT_TRUE(s.complete());
+  std::uint64_t devices = 0;
+  for (const auto& [cell, stats] : s.cells) devices += stats.devices;
+  EXPECT_EQ(devices, three.shard(0).size());
+}
+
+TEST(FleetRunner, RerunWithMoreShardsRelaunchesEveryShard) {
+  const PopulationSpec pop = tiny_population();
+  FleetOptions options;
+  options.shards = 2;
+  options.workers = 2;
+  options.out_dir = temp_dir("fleet-replan-rerun");
+  FleetDriver first(options);
+  const std::string reference = report_csv(first.run(pop));
+  EXPECT_EQ(first.launches(), 2u);
+
+  // The sealed 2-shard summaries match the population but not the 3-shard
+  // plan, so none of them may short-circuit a shard of the new plan.
+  options.shards = 3;
+  FleetDriver second(options);
+  EXPECT_EQ(report_csv(second.run(pop)), reference);
+  EXPECT_EQ(second.launches(), 3u);
+  EXPECT_EQ(second.retries_used(), 0u);
 }
 
 }  // namespace
