@@ -59,9 +59,6 @@
 #include <string>
 #include <thread>
 
-#include <sys/resource.h>
-
-#include "common/config.hpp"
 #include "common/http.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
@@ -70,21 +67,9 @@
 #include "sim/dashboard.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
+#include "support/front.hpp"
 
 namespace {
-
-/// Peak resident set size of this process in MB, negative when it cannot be
-/// measured (so an enforced bound fails closed instead of silently passing).
-/// ru_maxrss is kilobytes on Linux but bytes on macOS.
-double peak_rss_mb() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return -1.0;
-#ifdef __APPLE__
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-#endif
-}
 
 /// Discards everything written to it, keeping only the byte count — sizes
 /// the CSV text a trace would cost without materialising any of it.
@@ -106,19 +91,30 @@ class CountingStreamBuf final : public std::streambuf {
   std::size_t bytes_ = 0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const prime::common::Config& cfg) {
   using namespace prime;
 
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
-  const auto frames = static_cast<std::size_t>(cfg.get_int("frames", 200000));
+  const std::size_t frames = cfg.get_count("frames", 200000);
   const double max_rss_mb = cfg.get_double("max-rss-mb", 0.0);
-  const auto tail = static_cast<std::size_t>(cfg.get_int("tail", 0));
+  const std::size_t tail = cfg.get_count("tail", 0, 0);
   const bool stream = cfg.get_bool("stream", false);
-  const auto sample_every =
-      static_cast<std::size_t>(cfg.get_int("sample-every", 0));
+  const std::size_t sample_every = cfg.get_count("sample-every", 0, 0);
+  const std::string sample_path =
+      cfg.get_string("sample-path", "longrun_sample.csv");
+  const std::string bintrace_path = cfg.get_string("bintrace", "");
+  const std::string verify_tail_path = cfg.get_string("verify-tail", "");
+  const std::string checkpoint_path = cfg.get_string("checkpoint", "");
+  const std::size_t checkpoint_every =
+      cfg.get_count("checkpoint-every", 0, 0);
+  const long long dashboard_port = cfg.get_int("dashboard-port", 0);
+  if (dashboard_port < 0 || dashboard_port > 65535) {
+    throw std::invalid_argument(
+        "key 'dashboard-port' must be in [0, 65535], got " +
+        std::to_string(dashboard_port));
+  }
+  const std::size_t dashboard_every =
+      cfg.get_count("dashboard-every", 100000, 0);
+  const std::size_t linger_ms = cfg.get_count("dashboard-linger-ms", 0, 0);
 
   const auto platform = hw::Platform::odroid_xu3_a15();
   sim::ExperimentSpec spec;
@@ -126,8 +122,7 @@ int main(int argc, char** argv) {
   spec.fps = cfg.get_double("fps", 25.0);
   // Calibration window (see the header comment): defaults to the run length,
   // overridden when this run is the stopped half of a longer resumable run.
-  const auto calib =
-      static_cast<std::size_t>(cfg.get_int("calib-frames", 0));
+  const std::size_t calib = cfg.get_count("calib-frames", 0, 0);
   spec.frames = calib > 0 ? calib : frames;
   spec.stream = stream;
   const wl::Application app = sim::make_application(spec, *platform);
@@ -147,7 +142,6 @@ int main(int argc, char** argv) {
     tail_sink = sim::make_sink("tail(n=" + std::to_string(tail) + ")");
     options.sinks.push_back(tail_sink.get());
   }
-  const std::string bintrace_path = cfg.get_string("bintrace", "");
   std::unique_ptr<sim::TelemetrySink> bintrace_sink;
   if (!bintrace_path.empty()) {
     bintrace_sink = sim::make_sink("bintrace(path=" + bintrace_path + ")");
@@ -155,28 +149,20 @@ int main(int argc, char** argv) {
   }
   std::unique_ptr<sim::TelemetrySink> sample_sink;
   if (sample_every > 0) {
-    const std::string path =
-        cfg.get_string("sample-path", "longrun_sample.csv");
     sample_sink = sim::make_sink("sample(every=" +
                                  std::to_string(sample_every) +
-                                 ",inner=csv(path=" + path + "))");
+                                 ",inner=csv(path=" + sample_path + "))");
     options.sinks.push_back(sample_sink.get());
   }
-  const auto dashboard_port =
-      static_cast<std::uint16_t>(cfg.get_int("dashboard-port", 0));
   std::unique_ptr<sim::DashboardSink> dashboard;
-  if (dashboard_port != 0 || cfg.has("dashboard-port")) {
+  if (cfg.has("dashboard-port")) {
     // Constructed directly (not via make_sink) for bound_port() and the
     // post-run self-check below. Constant-memory like every other sink
     // here, so it rides inside the same RSS bound.
     dashboard = std::make_unique<sim::DashboardSink>(
-        dashboard_port,
-        static_cast<std::size_t>(cfg.get_int("dashboard-every", 100000)));
+        static_cast<std::uint16_t>(dashboard_port), dashboard_every);
     options.sinks.push_back(dashboard.get());
   }
-  const std::string checkpoint_path = cfg.get_string("checkpoint", "");
-  const auto checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
   std::unique_ptr<sim::CheckpointSink> checkpoint;
   if (!checkpoint_path.empty()) {
     checkpoint = std::make_unique<sim::CheckpointSink>(checkpoint_path,
@@ -184,12 +170,12 @@ int main(int argc, char** argv) {
     options.sinks.push_back(checkpoint.get());
   } else if (checkpoint_every != 0) {
     throw std::invalid_argument(
-        "longrun_smoke: checkpoint-every= requires checkpoint=<path>");
+        "checkpoint-every= requires checkpoint=<path>");
   }
   const sim::RunResult run =
       sim::run_simulation(*platform, app, *governor, options);
 
-  const double rss = peak_rss_mb();
+  const double rss = front::peak_rss_mb();
   std::cout << "Long-run smoke: " << run.application << " @ " << spec.fps
             << " fps under " << run.governor
             << (stream ? " (streaming frames)" : " (materialised trace)")
@@ -257,11 +243,10 @@ int main(int argc, char** argv) {
     // verify-tail: prove the resumed session is bit-identical to the same
     // span of an uninterrupted reference run by comparing every record's
     // on-disk encoding byte for byte.
-    const std::string ref_path = cfg.get_string("verify-tail", "");
-    if (!ref_path.empty()) {
-      sim::BinTraceReader ref(ref_path);
+    if (!verify_tail_path.empty()) {
+      sim::BinTraceReader ref(verify_tail_path);
       if (ref.record_count() < resume_start + reader.record_count()) {
-        std::cerr << "FAIL: reference trace " << ref_path << " holds "
+        std::cerr << "FAIL: reference trace " << verify_tail_path << " holds "
                   << ref.record_count() << " records, fewer than resume "
                   << "offset " << resume_start << " + tail "
                   << reader.record_count() << "\n";
@@ -280,7 +265,7 @@ int main(int argc, char** argv) {
         }
       }
       std::cout << "  verify-tail:   " << reader.record_count()
-                << " records bit-identical to " << ref_path << " at offset "
+                << " records bit-identical to " << verify_tail_path << " at offset "
                 << resume_start << "\n";
     }
   }
@@ -306,7 +291,6 @@ int main(int argc, char** argv) {
     // Linger: a background poller (CI's dash_tool) may still be between
     // retries when a short run ends. If nobody polled during the run, keep
     // the server up until one external request lands or the budget expires.
-    const long long linger_ms = cfg.get_int("dashboard-linger-ms", 0);
     if (linger_ms > 0 && requests_before == 0) {
       const auto deadline = std::chrono::steady_clock::now() +
                             std::chrono::milliseconds(linger_ms);
@@ -318,18 +302,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (max_rss_mb > 0.0 && rss <= 0.0) {
-    std::cerr << "FAIL: peak RSS could not be measured, so the "
-              << common::format_double(max_rss_mb, 1)
-              << " MB bound cannot be enforced\n";
-    return 1;
-  }
-  if (max_rss_mb > 0.0 && rss > max_rss_mb) {
-    std::cerr << "FAIL: peak RSS " << common::format_double(rss, 1)
-              << " MB exceeds the " << common::format_double(max_rss_mb, 1)
-              << " MB bound — per-epoch or per-frame state is leaking into "
-                 "the run path\n";
-    return 1;
-  }
+  // Over the bound, per-epoch or per-frame state is leaking into the run
+  // path.
+  front::check_rss_bound(rss, max_rss_mb);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("bench_longrun_smoke", argc, argv, run);
 }

@@ -13,10 +13,10 @@
 #include <iostream>
 #include <string>
 
-#include "common/config.hpp"
 #include "common/sealed.hpp"
 #include "common/strings.hpp"
 #include "sim/checkpoint.hpp"
+#include "support/front.hpp"
 
 namespace {
 
@@ -54,13 +54,9 @@ void print_info(const prime::sim::Checkpoint& ck, const std::string& path) {
             << " W\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const prime::common::Config& cfg) {
   using namespace prime;
 
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
   const std::string path = cfg.get_string("path", "");
   const std::string mode = cfg.get_string("mode", "info");
   if (path.empty()) {
@@ -68,25 +64,26 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  try {
-    // Loading performs the full structural validation (magic, version, seal,
-    // payload sizes, trailing bytes) — a checkpoint that loads is resumable.
-    const sim::Checkpoint ck = sim::Checkpoint::load_file(path);
-    if (mode == "info") {
-      print_info(ck, path);
-      return 0;
-    }
-    if (mode == "verify") {
-      std::cout << path << ": OK — resumable checkpoint of '" << ck.governor
-                << "' on '" << ck.application << "' at frame "
-                << ck.frame_position << "\n";
-      return 0;
-    }
-    std::cerr << "ckpt_tool: unknown mode '" << mode
-              << "' (supported: info, verify)\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "ckpt_tool: " << e.what() << "\n";
-    return 1;
+  // Loading performs the full structural validation (magic, version, seal,
+  // payload sizes, trailing bytes) — a checkpoint that loads is resumable.
+  const sim::Checkpoint ck = sim::Checkpoint::load_file(path);
+  if (mode == "info") {
+    print_info(ck, path);
+    return 0;
   }
+  if (mode == "verify") {
+    std::cout << path << ": OK — resumable checkpoint of '" << ck.governor
+              << "' on '" << ck.application << "' at frame "
+              << ck.frame_position << "\n";
+    return 0;
+  }
+  std::cerr << "ckpt_tool: unknown mode '" << mode
+            << "' (supported: info, verify)\n";
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("ckpt_tool", argc, argv, run);
 }

@@ -26,17 +26,17 @@
 #include <string>
 #include <thread>
 
-#include "common/config.hpp"
 #include "common/http.hpp"
+#include "support/front.hpp"
 
 namespace {
 
 /// GET \p target, retrying connection failures and 5xx answers (the server
 /// may not have bound its port, or the .bt header may not be flushed yet).
 int get_with_retries(const std::string& host, std::uint16_t port,
-                     const std::string& target, long long retries,
-                     long long retry_ms) {
-  for (long long attempt = 0;; ++attempt) {
+                     const std::string& target, std::size_t retries,
+                     std::size_t retry_ms) {
+  for (std::size_t attempt = 0;; ++attempt) {
     try {
       const prime::common::HttpResult result =
           prime::common::http_get(host, port, target);
@@ -59,8 +59,8 @@ int get_with_retries(const std::string& host, std::uint16_t port,
   }
 }
 
-int watch(const std::string& host, std::uint16_t port, long long events) {
-  long long seen = 0;
+int watch(const std::string& host, std::uint16_t port, std::size_t events) {
+  std::size_t seen = 0;
   const int status = prime::common::http_get_stream(
       host, port, "/events", [&](const std::string& line) {
         // SSE framing: "data: <json>" lines separated by blanks.
@@ -81,13 +81,8 @@ int watch(const std::string& host, std::uint16_t port, long long events) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const prime::common::Config& cfg) {
   using namespace prime;
-
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
 
   const long long port = cfg.get_int("port", 0);
   if (port <= 0 || port > 65535) {
@@ -98,30 +93,31 @@ int main(int argc, char** argv) {
   }
   const std::string host = cfg.get_string("host", "127.0.0.1");
   const std::string mode = cfg.get_string("mode", "snapshot");
-  const long long retries = cfg.get_int("retries", 0);
-  const long long retry_ms = cfg.get_int("retry-ms", 200);
+  const std::size_t retries = cfg.get_count("retries", 0, 0);
+  const std::size_t retry_ms = cfg.get_count("retry-ms", 200, 0);
 
-  try {
-    if (mode == "snapshot") {
-      return get_with_retries(host, static_cast<std::uint16_t>(port),
-                              "/snapshot", retries, retry_ms);
-    }
-    if (mode == "watch") {
-      return watch(host, static_cast<std::uint16_t>(port),
-                   cfg.get_int("events", 0));
-    }
-    if (mode == "window") {
-      const std::string target =
-          "/window?from=" + std::to_string(cfg.get_int("from", 0)) +
-          "&count=" + std::to_string(cfg.get_int("count", 32));
-      return get_with_retries(host, static_cast<std::uint16_t>(port), target,
-                              retries, retry_ms);
-    }
-    std::cerr << "dash_tool: unknown mode '" << mode
-              << "' (snapshot|watch|window)\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "dash_tool: " << e.what() << "\n";
-    return 1;
+  if (mode == "snapshot") {
+    return get_with_retries(host, static_cast<std::uint16_t>(port),
+                            "/snapshot", retries, retry_ms);
   }
+  if (mode == "watch") {
+    return watch(host, static_cast<std::uint16_t>(port),
+                 cfg.get_count("events", 0, 0));
+  }
+  if (mode == "window") {
+    const std::string target =
+        "/window?from=" + std::to_string(cfg.get_count("from", 0, 0)) +
+        "&count=" + std::to_string(cfg.get_count("count", 32, 0));
+    return get_with_retries(host, static_cast<std::uint16_t>(port), target,
+                            retries, retry_ms);
+  }
+  std::cerr << "dash_tool: unknown mode '" << mode
+            << "' (snapshot|watch|window)\n";
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("dash_tool", argc, argv, run);
 }

@@ -11,13 +11,13 @@
 ///   gov.list=ondemand,mcdvfs,rtm-manycore   (comma-separated subset)
 #include <iostream>
 
-#include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "sim/builder.hpp"
 #include "sim/report.hpp"
 #include "sim/telemetry.hpp"
+#include "support/front.hpp"
 
 namespace {
 
@@ -72,27 +72,18 @@ void add_row(prime::sim::TextTable& table, const std::string& name,
                         format_double(d.mean_slack_late, 3)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const prime::common::Config& cfg) {
   using namespace prime;
 
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
-
-  std::vector<std::string> names;
-  const std::string list = cfg.get_string(
-      "gov.list", "performance,powersave,ondemand,conservative,shen-rl,"
-                  "mcdvfs,rtm,rtm-manycore");
-  for (auto& n : common::split_outside_parens(list, ',')) {
-    if (!common::trim(n).empty()) names.push_back(common::trim(n));
-  }
-
+  const std::vector<std::string> names =
+      common::split_spec_list(cfg.get_string(
+          "gov.list", "performance,powersave,ondemand,conservative,shen-rl,"
+                      "mcdvfs,rtm,rtm-manycore"));
   const std::string workload = cfg.get_string("app.workload", "h264");
   const double fps = cfg.get_double("app.fps", 25.0);
-  std::cout << "Workload " << workload << " ("
-            << cfg.get_int("app.frames", 3000) << " frames @ " << fps
-            << " fps)\n\n";
+  const std::size_t frames = cfg.get_count("app.frames", 3000);
+  std::cout << "Workload " << workload << " (" << frames << " frames @ "
+            << fps << " fps)\n\n";
 
   // One (workload, fps) cell; every run — Oracle included — carries a
   // registry-built TraceSink so the diagnostics can read per-epoch records.
@@ -100,8 +91,8 @@ int main(int argc, char** argv) {
       sim::ExperimentBuilder()
           .workload(workload)
           .fps(fps)
-          .frames(static_cast<std::size_t>(cfg.get_int("app.frames", 3000)))
-          .trace_seed(static_cast<std::uint64_t>(cfg.get_int("app.seed", 42)))
+          .frames(frames)
+          .trace_seed(cfg.get_count("app.seed", 42, 0))
           .governors(names)
           .telemetry("trace")
           .run();
@@ -121,4 +112,10 @@ int main(int argc, char** argv) {
   }
   sim::print_table(std::cout, diag);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("governor_comparison", argc, argv, run);
 }

@@ -15,20 +15,21 @@
 ///   instead of materialising a trace — same numbers, constant memory.
 #include <iostream>
 
-#include "common/config.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "rtm/manycore.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
+#include "support/front.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const prime::common::Config& cfg) {
   using namespace prime;
 
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
-  const auto frames = static_cast<std::size_t>(cfg.get_int("frames", 1500));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const std::size_t frames = cfg.get_count("frames", 1500);
+  const std::uint64_t seed = cfg.get_count("seed", 42, 0);
+  const bool stream = cfg.get_bool("stream", false);
 
   std::cout << "=== Many-core scaling: shared-Q-table RTM from 2 to 16 cores"
                " ===\n\n";
@@ -48,7 +49,7 @@ int main(int argc, char** argv) {
     spec.frames = frames;
     spec.seed = seed;
     spec.threads = cores;  // the decoder spawns one worker per core
-    spec.stream = cfg.get_bool("stream", false);
+    spec.stream = stream;
     const wl::Application app = sim::make_application(spec, *platform);
 
     // A streaming application is unbounded: max_frames is the run length.
@@ -83,4 +84,10 @@ int main(int argc, char** argv) {
                " shared-table formulation (Section II-D) decouples learning"
                " complexity from the number of cores.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("manycore_sweep", argc, argv, run);
 }

@@ -12,21 +12,21 @@
 /// Usage: multi_app [frames=600] [fps=25] [seed=3]
 #include <iostream>
 
-#include "common/config.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multiapp.hpp"
 #include "sim/report.hpp"
+#include "support/front.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const prime::common::Config& cfg) {
   using namespace prime;
 
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
-  const auto frames = static_cast<std::size_t>(cfg.get_int("frames", 600));
+  const std::size_t frames = cfg.get_count("frames", 600);
   const double fps = cfg.get_double("fps", 25.0);
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 3));
+  const std::uint64_t seed = cfg.get_count("seed", 3, 0);
 
   auto platform = hw::Platform::odroid_xu3_a15();
 
@@ -76,4 +76,10 @@ int main(int argc, char** argv) {
             << " s. The max-arbiter lets the heavier application set the"
                " rail; the lighter one over-performs for free.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("multi_app", argc, argv, run);
 }

@@ -25,40 +25,28 @@
 #include <string>
 #include <vector>
 
-#include <sys/resource.h>
-
-#include "common/config.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "sim/builder.hpp"
 #include "sim/experiment.hpp"
 #include "sim/placement.hpp"
+#include "support/front.hpp"
 
 namespace {
 
 using namespace prime;
 
-/// Peak resident set size of this process in MB, negative when it cannot be
-/// measured (so an enforced bound fails closed instead of silently passing).
-/// ru_maxrss is kilobytes on Linux but bytes on macOS.
-double peak_rss_mb() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return -1.0;
-#ifdef __APPLE__
-  return static_cast<double>(usage.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
-#endif
-}
-
-std::vector<std::string> parse_list(const common::Config& cfg,
+/// The comma-separated counts under \p key, each checked like a single
+/// count key: "domains=2,-1" and "domains=x" are rejected naming `domains`.
+std::vector<std::size_t> count_list(const common::Config& cfg,
                                     const std::string& key,
                                     const std::string& fallback) {
-  std::vector<std::string> out;
-  for (const auto& field :
-       common::split_outside_parens(cfg.get_string(key, fallback), ',')) {
-    const std::string token = common::trim(field);
-    if (!token.empty()) out.push_back(token);
+  std::vector<std::size_t> out;
+  for (const auto& token :
+       common::split_spec_list(cfg.get_string(key, fallback))) {
+    common::Config one;
+    one.set(key, token);
+    out.push_back(one.get_count(key, 0));
   }
   return out;
 }
@@ -78,112 +66,98 @@ bool bit_equal(const sim::RunResult& a, const sim::RunResult& b) {
          same(a.power_sum, b.power_sum);
 }
 
+int run(const common::Config& cfg) {
+  const auto domains = count_list(cfg, "domains", "2,4");
+  const auto placements = common::split_spec_list(
+      cfg.get_string("placements", "packed,spread,rect"));
+  const auto governors =
+      common::split_spec_list(cfg.get_string("governors", "ondemand,rtm"));
+  const std::string workload = cfg.get_string("workload", "h264");
+  const double fps = cfg.get_double("fps", 25.0);
+  const std::size_t frames = cfg.get_count("frames", 600);
+  const std::size_t cores = cfg.get_count("cores", 4);
+  const double max_rss_mb = cfg.get_double("max-rss-mb", 0.0);
+
+  for (const std::size_t d : domains) {
+    // Gate 1: every policy must emit a valid partition of the actual board
+    // topology, with the same application-derived load estimate the engine
+    // will hand it.
+    common::Config hw;
+    hw.set_int("hw.clusters", static_cast<long long>(d));
+    hw.set_int("hw.cores", static_cast<long long>(cores));
+    const auto board = hw::Platform::from_config(hw);
+    sim::ExperimentSpec app_spec;
+    app_spec.workload = workload;
+    app_spec.fps = fps;
+    app_spec.frames = frames;
+    app_spec.stream = true;
+    const wl::Application app = sim::make_application(app_spec, *board);
+    std::vector<std::size_t> domain_cores(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      domain_cores[i] = board->domain(i).core_count();
+    }
+    for (const std::string& policy : placements) {
+      const sim::Placement place =
+          sim::make_placement(policy, *board, &app);
+      sim::validate_placement(place, domain_cores);  // throws on violation
+      std::cout << "domains=" << d << " placement=" << policy
+                << ": partition valid (" << place.slots() << " slots)\n";
+    }
+
+    // Gate 2: the full matrix, twice; every scenario must reproduce its
+    // aggregates bit for bit.
+    const auto sweep_once = [&] {
+      return sim::ExperimentBuilder()
+          .clusters(d)
+          .cores(cores)
+          .workload(workload)
+          .fps(fps)
+          .placements(placements)
+          .governors(governors)
+          .frames(frames)
+          .stream(true)
+          .run();
+    };
+    const sim::SweepResult first = sweep_once();
+    const sim::SweepResult second = sweep_once();
+    if (first.results.size() != second.results.size()) {
+      std::cerr << "FAIL: sweep sizes differ between repeats\n";
+      return 1;
+    }
+    for (std::size_t i = 0; i < first.results.size(); ++i) {
+      const auto& a = first.results[i];
+      const auto& b = second.results[i];
+      if (!bit_equal(a.run, b.run)) {
+        std::cerr << "FAIL: domains=" << d << " "
+                  << a.scenario.governor << "/" << a.scenario.workload
+                  << " placement=" << a.scenario.placement
+                  << " is not bit-identical across repeated sweeps\n";
+        return 1;
+      }
+    }
+
+    for (const auto& r : first.results) {
+      std::cout << "  " << r.scenario.governor << " placement="
+                << r.scenario.placement << ": energy "
+                << common::format_double(r.run.total_energy, 1)
+                << " J, miss rate "
+                << common::format_double(r.run.miss_rate(), 4)
+                << ", norm energy "
+                << common::format_double(r.row.normalized_energy, 3) << "\n";
+    }
+    std::cout << "domains=" << d << ": " << first.results.size()
+              << " scenarios deterministic across repeats\n";
+  }
+
+  const double rss = front::peak_rss_mb();
+  std::cout << "peak RSS: " << common::format_double(rss, 1) << " MB\n";
+  front::check_rss_bound(rss, max_rss_mb);
+  std::cout << "placement sweep OK\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
-  const auto domains = parse_list(cfg, "domains", "2,4");
-  const auto placements = parse_list(cfg, "placements", "packed,spread,rect");
-  const auto governors = parse_list(cfg, "governors", "ondemand,rtm");
-  const std::string workload = cfg.get_string("workload", "h264");
-  const double fps = cfg.get_double("fps", 25.0);
-  const auto frames = static_cast<std::size_t>(cfg.get_int("frames", 600));
-  const auto cores = static_cast<std::size_t>(cfg.get_int("cores", 4));
-  const double max_rss_mb = cfg.get_double("max-rss-mb", 0.0);
-
-  try {
-    for (const std::string& dtoken : domains) {
-      const auto d = static_cast<std::size_t>(std::stoull(dtoken));
-
-      // Gate 1: every policy must emit a valid partition of the actual board
-      // topology, with the same application-derived load estimate the engine
-      // will hand it.
-      common::Config hw;
-      hw.set_int("hw.clusters", static_cast<long long>(d));
-      hw.set_int("hw.cores", static_cast<long long>(cores));
-      const auto board = hw::Platform::from_config(hw);
-      sim::ExperimentSpec app_spec;
-      app_spec.workload = workload;
-      app_spec.fps = fps;
-      app_spec.frames = frames;
-      app_spec.stream = true;
-      const wl::Application app = sim::make_application(app_spec, *board);
-      std::vector<std::size_t> domain_cores(d);
-      for (std::size_t i = 0; i < d; ++i) {
-        domain_cores[i] = board->domain(i).core_count();
-      }
-      for (const std::string& policy : placements) {
-        const sim::Placement place =
-            sim::make_placement(policy, *board, &app);
-        sim::validate_placement(place, domain_cores);  // throws on violation
-        std::cout << "domains=" << d << " placement=" << policy
-                  << ": partition valid (" << place.slots() << " slots)\n";
-      }
-
-      // Gate 2: the full matrix, twice; every scenario must reproduce its
-      // aggregates bit for bit.
-      const auto sweep_once = [&] {
-        return sim::ExperimentBuilder()
-            .clusters(d)
-            .cores(cores)
-            .workload(workload)
-            .fps(fps)
-            .placements(placements)
-            .governors(governors)
-            .frames(frames)
-            .stream(true)
-            .run();
-      };
-      const sim::SweepResult first = sweep_once();
-      const sim::SweepResult second = sweep_once();
-      if (first.results.size() != second.results.size()) {
-        std::cerr << "FAIL: sweep sizes differ between repeats\n";
-        return 1;
-      }
-      for (std::size_t i = 0; i < first.results.size(); ++i) {
-        const auto& a = first.results[i];
-        const auto& b = second.results[i];
-        if (!bit_equal(a.run, b.run)) {
-          std::cerr << "FAIL: domains=" << d << " "
-                    << a.scenario.governor << "/" << a.scenario.workload
-                    << " placement=" << a.scenario.placement
-                    << " is not bit-identical across repeated sweeps\n";
-          return 1;
-        }
-      }
-
-      for (const auto& r : first.results) {
-        std::cout << "  " << r.scenario.governor << " placement="
-                  << r.scenario.placement << ": energy "
-                  << common::format_double(r.run.total_energy, 1)
-                  << " J, miss rate "
-                  << common::format_double(r.run.miss_rate(), 4)
-                  << ", norm energy "
-                  << common::format_double(r.row.normalized_energy, 3) << "\n";
-      }
-      std::cout << "domains=" << d << ": " << first.results.size()
-                << " scenarios deterministic across repeats\n";
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "placement_sweep: " << e.what() << "\n";
-    return 1;
-  }
-
-  const double rss = peak_rss_mb();
-  std::cout << "peak RSS: " << common::format_double(rss, 1) << " MB\n";
-  if (max_rss_mb > 0.0 && rss <= 0.0) {
-    std::cerr << "FAIL: peak RSS could not be measured, so the "
-              << common::format_double(max_rss_mb, 1)
-              << " MB bound cannot be enforced\n";
-    return 1;
-  }
-  if (max_rss_mb > 0.0 && rss > max_rss_mb) {
-    std::cerr << "FAIL: peak RSS " << common::format_double(rss, 1)
-              << " MB exceeds the " << common::format_double(max_rss_mb, 1)
-              << " MB bound\n";
-    return 1;
-  }
-  std::cout << "placement sweep OK\n";
-  return 0;
+  return prime::front::run_main("placement_sweep", argc, argv, run);
 }

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "qlib/library.hpp"
@@ -34,6 +33,7 @@
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/telemetry.hpp"
+#include "support/front.hpp"
 
 namespace {
 
@@ -180,14 +180,10 @@ int mode_warmdiff(const common::Config& cfg) {
   const std::string train_wl = cfg.get_string("train", "mpeg4");
   const std::string eval_wl = cfg.get_string("eval", "h264");
   const double fps = cfg.get_double("fps", 25.0);
-  const auto frames = static_cast<std::size_t>(cfg.get_int("frames", 600));
-  const auto shards = static_cast<std::size_t>(cfg.get_int("shards", 4));
-  const auto window = static_cast<std::size_t>(cfg.get_int("window", 150));
+  const std::size_t frames = cfg.get_count("frames", 600);
+  const std::size_t shards = cfg.get_count("shards", 4);
+  const std::size_t window = cfg.get_count("window", 150, 0);
   const std::string out_dir = cfg.get_string("out", "qlib-warmdiff");
-  if (shards == 0) {
-    std::cerr << "qlib_tool: warmdiff needs shards >= 1\n";
-    return 2;
-  }
 
   auto platform = hw::Platform::odroid_xu3_a15();
 
@@ -285,46 +281,43 @@ int mode_warmdiff(const common::Config& cfg) {
   return 0;
 }
 
+int run(const common::Config& cfg) {
+  const std::string mode = cfg.get_string("mode", "list");
+
+  if (mode == "list") {
+    const std::string dir = cfg.get_string("dir", "");
+    if (dir.empty()) {
+      std::cerr << "qlib_tool: list needs dir=LIB\n";
+      return 2;
+    }
+    return mode_list(dir);
+  }
+  if (mode == "info") {
+    const std::string path = cfg.get_string("path", "");
+    if (path.empty()) {
+      std::cerr << "qlib_tool: info needs path=ENTRY.qpol\n";
+      return 2;
+    }
+    print_entry(qlib::PolicyEntry::load_file(path), path);
+    return 0;
+  }
+  if (mode == "verify") {
+    return mode_verify(cfg.get_string("path", ""), cfg.get_string("dir", ""));
+  }
+  if (mode == "merge") {
+    return mode_merge(cfg.get_string("in", ""), cfg.get_string("dir", ""),
+                      cfg.get_string("out", ""));
+  }
+  if (mode == "warmdiff") {
+    return mode_warmdiff(cfg);
+  }
+  std::cerr << "qlib_tool: unknown mode '" << mode
+            << "' (supported: list, info, verify, merge, warmdiff)\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
-  const std::string mode = cfg.get_string("mode", "list");
-
-  try {
-    if (mode == "list") {
-      const std::string dir = cfg.get_string("dir", "");
-      if (dir.empty()) {
-        std::cerr << "qlib_tool: list needs dir=LIB\n";
-        return 2;
-      }
-      return mode_list(dir);
-    }
-    if (mode == "info") {
-      const std::string path = cfg.get_string("path", "");
-      if (path.empty()) {
-        std::cerr << "qlib_tool: info needs path=ENTRY.qpol\n";
-        return 2;
-      }
-      print_entry(qlib::PolicyEntry::load_file(path), path);
-      return 0;
-    }
-    if (mode == "verify") {
-      return mode_verify(cfg.get_string("path", ""), cfg.get_string("dir", ""));
-    }
-    if (mode == "merge") {
-      return mode_merge(cfg.get_string("in", ""), cfg.get_string("dir", ""),
-                        cfg.get_string("out", ""));
-    }
-    if (mode == "warmdiff") {
-      return mode_warmdiff(cfg);
-    }
-    std::cerr << "qlib_tool: unknown mode '" << mode
-              << "' (supported: list, info, verify, merge, warmdiff)\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "qlib_tool: " << e.what() << "\n";
-    return 1;
-  }
+  return prime::front::run_main("qlib_tool", argc, argv, run);
 }

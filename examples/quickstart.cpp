@@ -13,18 +13,17 @@
 ///          constant memory at any length — see wl/frame_source.hpp)
 #include <iostream>
 
-#include "common/config.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "sim/builder.hpp"
 #include "sim/report.hpp"
+#include "support/front.hpp"
 
-int main(int argc, char** argv) {
-  using namespace prime;
+namespace {
 
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
+using namespace prime;
 
+int run(const common::Config& cfg) {
   // The hardware the builder will instantiate per run: an ODROID-XU3-like
   // A15 cluster (shown here only for the banner).
   const auto platform = hw::Platform::odroid_xu3_a15();
@@ -35,20 +34,15 @@ int main(int argc, char** argv) {
   // Assemble the scenario: one workload, one requirement, three governors.
   // Governor names are registry specs — any `gov.list` entry may carry
   // parameters, e.g. "rtm(policy=upd,alpha=0.2)".
-  std::vector<std::string> governors;
-  for (auto& name : common::split_outside_parens(
-           cfg.get_string("gov.list", "ondemand,mcdvfs,rtm-manycore"), ',')) {
-    if (!common::trim(name).empty()) governors.push_back(common::trim(name));
-  }
-
   const sim::Comparison cmp =
       sim::ExperimentBuilder()
           .workload(cfg.get_string("app.workload", "h264"))
           .fps(cfg.get_double("app.fps", 25.0))
-          .frames(static_cast<std::size_t>(cfg.get_int("app.frames", 600)))
-          .trace_seed(static_cast<std::uint64_t>(cfg.get_int("app.seed", 42)))
+          .frames(cfg.get_count("app.frames", 600))
+          .trace_seed(cfg.get_count("app.seed", 42, 0))
           .stream(cfg.get_bool("app.stream", false))
-          .governors(governors)
+          .governors(common::split_spec_list(
+              cfg.get_string("gov.list", "ondemand,mcdvfs,rtm-manycore")))
           .compare();
 
   sim::print_table(std::cout,
@@ -60,4 +54,10 @@ int main(int argc, char** argv) {
             << common::format_double(cmp.oracle_run.total_energy, 2) << " J over "
             << common::format_double(cmp.oracle_run.total_time, 1) << " s\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("quickstart", argc, argv, run);
 }

@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/strings.hpp"
 #include "sim/bintrace.hpp"
+#include "support/front.hpp"
 
 namespace {
 
@@ -57,15 +57,13 @@ void print_info(prime::sim::BinTraceReader& reader) {
             << " W\n";
 }
 
-int print_record(prime::sim::BinTraceReader& reader, long long index) {
-  if (index < 0 ||
-      static_cast<std::size_t>(index) >= reader.record_count()) {
+int print_record(prime::sim::BinTraceReader& reader, std::size_t index) {
+  if (index >= reader.record_count()) {
     std::cerr << "trace_tool: record " << index << " out of range (trace has "
               << reader.record_count() << " records)\n";
     return 1;
   }
-  const prime::sim::EpochRecord r =
-      reader.at(static_cast<std::size_t>(index));
+  const prime::sim::EpochRecord r = reader.at(index);
   std::cout << "record " << index << " of " << reader.path() << "\n"
             << "  epoch:        " << r.epoch << "\n"
             << "  period:       " << format_double(r.period, 6) << " s\n"
@@ -85,13 +83,9 @@ int print_record(prime::sim::BinTraceReader& reader, long long index) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const prime::common::Config& cfg) {
   using namespace prime;
 
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
   const std::string path = cfg.get_string("path", "");
   const std::string mode = cfg.get_string("mode", "info");
 
@@ -107,15 +101,10 @@ int main(int argc, char** argv) {
       std::cerr << "Usage: trace_tool mode=cat in=a.bt,b.bt,... out=all.bt\n";
       return 2;
     }
-    try {
-      const std::uint64_t records = sim::concat_traces(inputs, out_path);
-      std::cout << "wrote " << records << " records from " << inputs.size()
-                << " trace(s) to " << out_path << "\n";
-      return 0;
-    } catch (const std::exception& e) {
-      std::cerr << "trace_tool: " << e.what() << "\n";
-      return 1;
-    }
+    const std::uint64_t records = sim::concat_traces(inputs, out_path);
+    std::cout << "wrote " << records << " records from " << inputs.size()
+              << " trace(s) to " << out_path << "\n";
+    return 0;
   }
 
   if (path.empty()) {
@@ -125,37 +114,38 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  try {
-    sim::BinTraceReader reader(path);
-    if (mode == "info") {
-      print_info(reader);
-      return 0;
-    }
-    if (mode == "csv") {
-      const std::string out_path = cfg.get_string("out", "");
-      if (out_path.empty()) {
-        reader.to_csv(std::cout);
-        return 0;
-      }
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "trace_tool: cannot open '" << out_path
-                  << "' for writing\n";
-        return 1;
-      }
-      reader.to_csv(out);
-      std::cout << "wrote " << reader.record_count() << " rows to "
-                << out_path << "\n";
-      return 0;
-    }
-    if (mode == "record") {
-      return print_record(reader, cfg.get_int("record", 0));
-    }
-    std::cerr << "trace_tool: unknown mode '" << mode
-              << "' (supported: info, csv, record)\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "trace_tool: " << e.what() << "\n";
-    return 1;
+  sim::BinTraceReader reader(path);
+  if (mode == "info") {
+    print_info(reader);
+    return 0;
   }
+  if (mode == "csv") {
+    const std::string out_path = cfg.get_string("out", "");
+    if (out_path.empty()) {
+      reader.to_csv(std::cout);
+      return 0;
+    }
+    std::ofstream out(out_path);
+    if (!out) {
+      std::cerr << "trace_tool: cannot open '" << out_path
+                << "' for writing\n";
+      return 1;
+    }
+    reader.to_csv(out);
+    std::cout << "wrote " << reader.record_count() << " rows to "
+              << out_path << "\n";
+    return 0;
+  }
+  if (mode == "record") {
+    return print_record(reader, cfg.get_count("record", 0, 0));
+  }
+  std::cerr << "trace_tool: unknown mode '" << mode
+            << "' (supported: info, csv, record)\n";
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("trace_tool", argc, argv, run);
 }

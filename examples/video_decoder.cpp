@@ -16,31 +16,32 @@
 #include <iostream>
 #include <memory>
 
-#include "common/config.hpp"
 #include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "rtm/rtm_governor.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
 #include "sim/telemetry.hpp"
+#include "support/front.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const prime::common::Config& cfg) {
   using namespace prime;
-
-  common::Config cfg;
-  cfg.parse_args(argc, argv);
 
   const auto platform = hw::Platform::odroid_xu3_a15();
 
   sim::ExperimentSpec spec;
   spec.workload = cfg.get_string("app.workload", "mpeg4");
   spec.fps = cfg.get_double("app.fps", 24.0);
-  spec.frames = static_cast<std::size_t>(cfg.get_int("app.frames", 300));
-  spec.seed = static_cast<std::uint64_t>(cfg.get_int("app.seed", 7));
+  spec.frames = cfg.get_count("app.frames", 300);
+  spec.seed = cfg.get_count("app.seed", 7, 0);
   const wl::Application app = sim::make_application(spec, *platform);
 
-  const std::string gov_name = cfg.get_string("gov.name", "rtm-manycore");
-  const auto governor = sim::make_governor(gov_name);
+  const auto governor =
+      sim::make_governor(cfg.get_string("gov.name", "rtm-manycore"));
+  const std::string csv_path = cfg.get_string("out.csv", "");
+  const std::size_t head = cfg.get_count("out.head", 32, 0);
 
   // Observation is all telemetry sinks: the head-of-run table reads a full
   // trace, the learning timeline is an ad-hoc callback probe, and the CSV
@@ -54,7 +55,6 @@ int main(int argc, char** argv) {
   });
   sim::RunOptions options;
   options.sinks = {&trace, &probe};
-  const std::string csv_path = cfg.get_string("out.csv", "");
   std::unique_ptr<sim::CsvSink> csv;
   if (!csv_path.empty()) {
     csv = std::make_unique<sim::CsvSink>(csv_path);
@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
 
   const sim::RunResult run = sim::run_simulation(*platform, app, *governor, options);
 
-  const auto head = static_cast<std::size_t>(cfg.get_int("out.head", 32));
   std::cout << "Video decode: " << app.name() << " @ " << spec.fps
             << " fps under " << run.governor << "\n\n";
   sim::TextTable t;
@@ -104,4 +103,10 @@ int main(int argc, char** argv) {
               << csv_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return prime::front::run_main("video_decoder", argc, argv, run);
 }

@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -28,7 +29,7 @@ void Config::set_bool(const std::string& key, bool value) {
 }
 
 bool Config::has(const std::string& key) const {
-  return values_.find(key) != values_.end();
+  return request(key).has_value();
 }
 
 std::optional<std::string> Config::get(const std::string& key) const {
@@ -37,45 +38,70 @@ std::optional<std::string> Config::get(const std::string& key) const {
   return it->second;
 }
 
+std::optional<std::string> Config::request(const std::string& key) const {
+  requested_.insert(key);
+  return get(key);
+}
+
+void Config::reject(const std::string& key, const std::string& why) const {
+  throw std::invalid_argument((owner_.empty() ? "" : owner_ + ": ") + "key '" +
+                              key + "' " + why);
+}
+
 std::string Config::get_string(const std::string& key,
                                const std::string& fallback) const {
-  return get(key).value_or(fallback);
+  return request(key).value_or(fallback);
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
-  const auto v = get(key);
+  const auto v = request(key);
   if (!v) return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  return (end == v->c_str()) ? fallback : parsed;
+  if (end == v->c_str() || *end != '\0') {
+    reject(key, "has non-numeric value '" + *v + "'");
+  }
+  return parsed;
 }
 
 long long Config::get_int(const std::string& key, long long fallback) const {
-  const auto v = get(key);
+  const auto v = request(key);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  return (end == v->c_str()) ? fallback : parsed;
+  if (end == v->c_str() || *end != '\0') {
+    reject(key, "has non-integer value '" + *v + "'");
+  }
+  if (errno == ERANGE) reject(key, "has out-of-range value '" + *v + "'");
+  return parsed;
 }
 
 std::size_t Config::get_count(const std::string& key, std::size_t fallback,
                               std::size_t min) const {
   const long long n = get_int(key, static_cast<long long>(fallback));
   if (n < static_cast<long long>(min)) {
-    throw std::invalid_argument("config key '" + key + "' must be >= " +
-                                std::to_string(min) + ", got " +
-                                std::to_string(n));
+    reject(key, "must be >= " + std::to_string(min) + ", got " +
+                    std::to_string(n));
   }
   return static_cast<std::size_t>(n);
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto v = get(key);
+  const auto v = request(key);
   if (!v) return fallback;
   const std::string s = to_lower(trim(*v));
   if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
   if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  return fallback;
+  reject(key, "has non-boolean value '" + *v + "'");
+}
+
+std::vector<std::string> Config::unrequested_keys() const {
+  std::vector<std::string> out;
+  for (const auto& [key, _] : values_) {
+    if (requested_.find(key) == requested_.end()) out.push_back(key);
+  }
+  return out;
 }
 
 bool Config::parse_assignment(const std::string& token) {

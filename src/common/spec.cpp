@@ -1,6 +1,5 @@
 #include "common/spec.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/strings.hpp"
@@ -26,54 +25,6 @@ std::vector<std::string> split_args(const std::string& text,
 }
 
 }  // namespace
-
-double Spec::get_double(const std::string& key, double fallback) const {
-  requested_.insert(key);
-  const auto v = args_.get(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') {
-    throw std::invalid_argument("Spec '" + name_ + "': key '" + key +
-                                "' has non-numeric value '" + *v + "'");
-  }
-  return parsed;
-}
-
-long long Spec::get_int(const std::string& key, long long fallback) const {
-  requested_.insert(key);
-  const auto v = args_.get(key);
-  if (!v) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0') {
-    throw std::invalid_argument("Spec '" + name_ + "': key '" + key +
-                                "' has non-integer value '" + *v + "'");
-  }
-  return parsed;
-}
-
-std::size_t Spec::get_count(const std::string& key, std::size_t fallback,
-                            std::size_t min) const {
-  const long long n = get_int(key, static_cast<long long>(fallback));
-  if (n < static_cast<long long>(min)) {
-    throw std::invalid_argument("Spec '" + name_ + "': key '" + key +
-                                "' must be >= " + std::to_string(min) +
-                                ", got " + std::to_string(n));
-  }
-  return static_cast<std::size_t>(n);
-}
-
-bool Spec::get_bool(const std::string& key, bool fallback) const {
-  requested_.insert(key);
-  const auto v = args_.get(key);
-  if (!v) return fallback;
-  const std::string s = to_lower(trim(*v));
-  if (s == "true" || s == "1" || s == "yes" || s == "on") return true;
-  if (s == "false" || s == "0" || s == "no" || s == "off") return false;
-  throw std::invalid_argument("Spec '" + name_ + "': key '" + key +
-                              "' has non-boolean value '" + *v + "'");
-}
 
 Spec Spec::parse(const std::string& text) {
   const std::string trimmed = trim(text);
@@ -117,21 +68,21 @@ Spec Spec::parse(const std::string& text) {
       }
     }
     if (eq == std::string::npos) {
-      spec.args_.set(token, "true");  // bare flag
+      spec.set(token, "true");  // bare flag
       continue;
     }
     const std::string key = trim(token.substr(0, eq));
     if (key.empty()) fail(text, "empty key");
-    spec.args_.set(key, trim(token.substr(eq + 1)));
+    spec.set(key, trim(token.substr(eq + 1)));
   }
   return spec;
 }
 
 std::string Spec::to_string() const {
-  if (args_.size() == 0) return name_;
+  if (size() == 0) return name_;
   std::vector<std::string> parts;
-  for (const auto& key : args_.keys()) {
-    parts.push_back(key + "=" + args_.get_string(key, ""));
+  for (const auto& key : keys()) {
+    parts.push_back(key + "=" + *get(key));
   }
   return name_ + "(" + join(parts, ",") + ")";
 }

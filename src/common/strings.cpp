@@ -39,6 +39,15 @@ std::vector<std::string> split_outside_parens(std::string_view text, char sep) {
   return out;
 }
 
+std::vector<std::string> split_spec_list(std::string_view text) {
+  std::vector<std::string> out;
+  for (const auto& field : split_outside_parens(text, ',')) {
+    std::string token = trim(field);
+    if (!token.empty()) out.push_back(std::move(token));
+  }
+  return out;
+}
+
 std::string trim(std::string_view text) {
   std::size_t b = 0;
   std::size_t e = text.size();
@@ -98,6 +107,14 @@ std::string format_double(double value, int precision) {
 std::string pad_left(std::string_view text, std::size_t width) {
   if (text.size() >= width) return std::string(text.substr(0, width));
   return std::string(width - text.size(), ' ') + std::string(text);
+}
+
+void replace_all(std::string& text, std::string_view from,
+                 std::string_view to) {
+  for (std::size_t pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size())) {
+    text.replace(pos, from.size(), to);
+  }
 }
 
 std::string pad_right(std::string_view text, std::size_t width) {

@@ -17,6 +17,10 @@ namespace prime::common {
 [[nodiscard]] std::vector<std::string> split_outside_parens(
     std::string_view text, char sep);
 
+/// \brief A comma-separated list of specs ("ondemand, rtm(policy=upd,a=1)"):
+///        split outside parentheses, entries trimmed, empty entries dropped.
+[[nodiscard]] std::vector<std::string> split_spec_list(std::string_view text);
+
 /// \brief Strip leading/trailing ASCII whitespace.
 [[nodiscard]] std::string trim(std::string_view text);
 
@@ -32,6 +36,10 @@ namespace prime::common {
 /// \brief Join strings with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);
+
+/// \brief Replace every occurrence of \p from in \p text with \p to
+///        (placeholder expansion such as "{cell}").
+void replace_all(std::string& text, std::string_view from, std::string_view to);
 
 /// \brief Levenshtein edit distance (insert/delete/substitute, unit costs).
 ///        Used for did-you-mean suggestions in registry error messages.

@@ -39,16 +39,6 @@ std::vector<double> parse_double_list(const std::string& text,
   return out;
 }
 
-std::vector<std::string> parse_spec_list(const std::string& text) {
-  std::vector<std::string> out;
-  // Parenthesis-aware: "ondemand,rtm(policy=upd,alpha=0.3)" is two specs.
-  for (const auto& field : common::split_outside_parens(text, ',')) {
-    const std::string token = common::trim(field);
-    if (!token.empty()) out.push_back(token);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::size_t PopulationSpec::cell_count() const noexcept {
@@ -152,15 +142,15 @@ std::vector<std::string> PopulationSpec::to_args() const {
 
 PopulationSpec PopulationSpec::from_config(const common::Config& cfg) {
   PopulationSpec pop;
-  pop.governors = parse_spec_list(cfg.get_string("governors", ""));
-  pop.workloads = parse_spec_list(cfg.get_string("workloads", ""));
+  pop.governors = common::split_spec_list(cfg.get_string("governors", ""));
+  pop.workloads = common::split_spec_list(cfg.get_string("workloads", ""));
   if (cfg.has("fps")) {
     pop.fps = parse_double_list(cfg.get_string("fps", ""), "fps");
   }
   pop.devices_per_cell = cfg.get_count("devices-per-cell", 1);
   pop.frames = cfg.get_count("frames", 1000);
   pop.stream = cfg.get_bool("stream", true);
-  pop.base_seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  pop.base_seed = cfg.get_count("seed", 42, 0);
   pop.target_utilisation = cfg.get_double("util", 0.45);
   pop.energy_hi = cfg.get_double("energy-hi", 0.0);
   pop.energy_bins = cfg.get_count("energy-bins", 4096);

@@ -4,7 +4,7 @@
 /// The Q-table rows are states S{CC, L}: the predicted cycle count and the
 /// current average slack ratio, each quantised into N levels (the paper uses
 /// N = 5, chosen by design-space exploration — reproduced by the
-/// ablation_qtable_size bench). Workload can be quantised either as a
+/// `bench_paper table=qtable`). Workload can be quantised either as a
 /// fraction of the largest workload seen so far (absolute mode, used by the
 /// single-cluster RTM) or as the per-core share of the total predicted
 /// workload per eq. (7) (normalised mode, used by the many-core RTM).

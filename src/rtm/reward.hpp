@@ -8,7 +8,7 @@
 /// A *literal* linear reading is maximised by the fastest OPP (slack grows
 /// monotonically with frequency) and therefore cannot minimise energy; we
 /// provide it as `LinearSlackReward` and demonstrate the saturation in the
-/// ablation_reward bench. The default, `TargetSlackReward`, follows the
+/// `bench_paper table=reward`. The default, `TargetSlackReward`, follows the
 /// companion journal formulation (Shafik et al., TCAD 2016 [12]): "improving
 /// L" means moving it into a small positive target band — the frame finishes
 /// just before its deadline, which at once avoids misses and avoids

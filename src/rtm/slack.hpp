@@ -9,7 +9,7 @@
 /// weighted average (the default, factor 0.1) which matches the per-frame
 /// slack movement visible in the paper's Fig. 3; the cumulative form remains
 /// available (`SlackAveraging::kCumulative`) and is compared in the
-/// ablation_policy bench.
+/// `bench_paper table=policy`.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "sim/builder.hpp"
 
+#include "common/strings.hpp"
 #include "qlib/library.hpp"
 #include "qlib/sink.hpp"
 
@@ -76,17 +77,10 @@ std::string format_fps_token(double fps) {
   return s;
 }
 
-void replace_all(std::string& text, const std::string& from,
-                 const std::string& to) {
-  for (std::size_t pos = text.find(from); pos != std::string::npos;
-       pos = text.find(from, pos + to.size())) {
-    text.replace(pos, from.size(), to);
-  }
-}
-
 /// Expand the {governor}/{workload}/{fps}/{placement}/{cell} placeholders of
 /// a telemetry spec with the scenario's coordinates.
 std::string expand_spec(std::string spec, const Scenario& scenario) {
+  using common::replace_all;
   replace_all(spec, "{governor}", sanitize_token(scenario.governor));
   replace_all(spec, "{workload}", sanitize_token(scenario.workload));
   replace_all(spec, "{fps}", format_fps_token(scenario.fps));
@@ -340,8 +334,11 @@ std::vector<std::string> ExperimentBuilder::placement_list() const {
 }
 
 std::unique_ptr<hw::Platform> ExperimentBuilder::make_platform() const {
-  return custom_platform_ ? hw::Platform::from_config(platform_cfg_)
-                          : hw::Platform::odroid_xu3_a15();
+  // Sweep threads build platforms concurrently, and reading a Config records
+  // the key: each build reads its own copy.
+  return custom_platform_
+             ? hw::Platform::from_config(common::Config(platform_cfg_))
+             : hw::Platform::odroid_xu3_a15();
 }
 
 std::vector<std::unique_ptr<TelemetrySink>> ExperimentBuilder::make_sinks(

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/config.hpp"
 #include "fleet/population.hpp"
@@ -38,12 +39,48 @@ TEST(Config, TypedSettersRoundTrip) {
   EXPECT_FALSE(c.get_bool("f", true));
 }
 
-TEST(Config, UnparsableValuesFallBack) {
+TEST(Config, UnparsableValuesThrowNamingTheKey) {
+  // A value that is present but unparsable stops the run instead of falling
+  // back to the default: `frames=abc` must not run the default length.
   Config c;
   c.set("x", "not-a-number");
-  EXPECT_DOUBLE_EQ(c.get_double("x", 1.5), 1.5);
-  EXPECT_EQ(c.get_int("x", 7), 7);
-  EXPECT_TRUE(c.get_bool("x", true));
+  c.set("n", "7.5");
+  c.set("big", "99999999999999999999");
+  const auto expect_rejected = [](const auto& read, const std::string& key) {
+    try {
+      read();
+      FAIL() << key << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected([&] { (void)c.get_double("x", 1.5); }, "x");
+  expect_rejected([&] { (void)c.get_int("x", 7); }, "x");
+  expect_rejected([&] { (void)c.get_bool("x", true); }, "x");
+  expect_rejected([&] { (void)c.get_int("n", 7); }, "n");
+  expect_rejected([&] { (void)c.get_count("n", 7); }, "n");
+  expect_rejected([&] { (void)c.get_int("big", 7); }, "big");
+  EXPECT_DOUBLE_EQ(c.get_double("absent", 1.5), 1.5);  // fallback still works
+}
+
+TEST(Config, ReadsRecordTheKeysTheyAskFor) {
+  Config c;
+  c.set("frames", "100");
+  c.set("frame", "100");
+  c.set("seed", "3");
+  EXPECT_EQ(c.unrequested_keys(),
+            (std::vector<std::string>{"frame", "frames", "seed"}));
+  (void)c.get_count("frames", 1);
+  (void)c.has("seed");
+  (void)c.get_string("absent", "");
+  (void)c.get("frame");  // the raw accessor is untracked
+  EXPECT_EQ(c.unrequested_keys(), (std::vector<std::string>{"frame"}));
+  EXPECT_EQ(c.requested_keys(),
+            (std::vector<std::string>{"absent", "frames", "seed"}));
+  c.clear_requests();
+  EXPECT_EQ(c.unrequested_keys().size(), 3u);
 }
 
 TEST(Config, BoolSpellings) {
@@ -189,6 +226,7 @@ INSTANTIATE_TEST_SUITE_P(
             CountCase{Parser::kPopulation, "", "energy-bins", 1},
             CountCase{Parser::kPopulation, "", "miss-bins", 1},
             CountCase{Parser::kPopulation, "", "perf-bins", 1},
+            CountCase{Parser::kPopulation, "", "seed", 0},
             CountCase{Parser::kGovernor, "schedutil", "down-rate", 0},
             CountCase{Parser::kGovernor, "userspace", "opp", 0},
             CountCase{Parser::kGovernor, "conservative", "step", 0},

@@ -96,6 +96,11 @@ TEST(Spec, ListSplittingIgnoresCommasInsideParens) {
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[1], "rtm(policy=upd,alpha=0.3)");
   EXPECT_EQ(parts[2], "thermal-cap(inner=rtm(levels=7))");
+  // Spec lists on the command line also trim entries and drop empty ones.
+  EXPECT_EQ(common::split_spec_list(" ondemand, rtm(policy=upd,alpha=0.3),,"),
+            (std::vector<std::string>{"ondemand",
+                                      "rtm(policy=upd,alpha=0.3)"}));
+  EXPECT_TRUE(common::split_spec_list("").empty());
 }
 
 TEST(Spec, ToStringRoundTrips) {
@@ -172,6 +177,15 @@ TEST(GovernorRegistry, TypoedKeysAreRejectedWithSuggestions) {
                std::invalid_argument);
   // Valid keys still pass.
   EXPECT_NO_THROW((void)sim::make_governor("rtm-manycore(gamma=0.5)"));
+}
+
+TEST(GovernorRegistry, KeysReadBeforeCreateStillCountAsTypos) {
+  // create() hands the factory a copy whose request tracking starts afresh,
+  // so a caller peeking at a key first cannot vouch for it.
+  const Spec s = Spec::parse("rtm-manycore(gama=0.5)");
+  ASSERT_TRUE(s.has("gama"));
+  EXPECT_THROW((void)gov::governor_registry().create(s, 1),
+               common::UnknownKeyError);
 }
 
 TEST(GovernorRegistry, SpecSeedReachesThermalCapInner) {
