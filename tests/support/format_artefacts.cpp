@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "fleet/driver.hpp"
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
 #include "hw/platform.hpp"
@@ -89,8 +90,29 @@ std::vector<Artefact> build_policies() {
   const qlib::PolicyEntry merged = qlib::merge_entries({a, b});
   a.save_file(dir + "/leaf.qpol");
   merged.save_file(dir + "/merged.qpol");
+
+  // The fleet-merged entry FleetDriver::merge_shards writes: one rtm cell
+  // split over two in-process shards.
+  fleet::PopulationSpec pop;
+  pop.governors = {"rtm"};
+  pop.workloads = {"flat(mean=2e8,cv=0.1)"};
+  pop.fps = {30.0};
+  pop.devices_per_cell = 3;
+  pop.frames = 20;
+  pop.base_seed = 7;
+  pop.energy_bins = 16;
+  pop.miss_bins = 8;
+  pop.perf_bins = 8;
+  fleet::FleetOptions options;
+  options.shards = 2;
+  options.workers = 0;
+  options.out_dir = scratch_dir("fleet");
+  fleet::FleetDriver driver(options);
+  const fleet::PopulationReport report = driver.run(pop);
+
   return {{"leaf", read_file(dir + "/leaf.qpol")},
-          {"merged", read_file(dir + "/merged.qpol")}};
+          {"merged", read_file(dir + "/merged.qpol")},
+          {"fleet", read_file(report.rows.at(0).policy_path)}};
 }
 
 std::vector<Artefact> build_summaries() {

@@ -4,8 +4,8 @@
 /// The format goldens pin these bytes, and the corruption grid and the
 /// mutation fuzz start from them: one `.ckpt` per registered governor (a
 /// 200-frame streaming h264 run, snapshot after frame kCheckpointFrame), a
-/// leaf and a merged `.qpol`, and the `.fsum` of a 2-cell shard that carries
-/// policy records. Each set is built once per process.
+/// leaf, a merged and a fleet-merged `.qpol`, and the `.fsum` of a 2-cell
+/// shard that carries policy records. Each set is built once per process.
 #pragma once
 
 #include <string>
@@ -24,7 +24,8 @@ inline constexpr std::size_t kCheckpointFrame = 120;
 
 /// \brief One `.ckpt` per registered governor, named by the governor.
 [[nodiscard]] const std::vector<Artefact>& checkpoint_artefacts();
-/// \brief The leaf ("leaf") and merged ("merged") `.qpol` entries.
+/// \brief The leaf ("leaf"), merged ("merged") and fleet-merged ("fleet")
+///        `.qpol` entries.
 [[nodiscard]] const std::vector<Artefact>& policy_artefacts();
 /// \brief The 2-cell shard summary ("shard").
 [[nodiscard]] const std::vector<Artefact>& summary_artefacts();

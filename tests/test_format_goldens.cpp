@@ -2,8 +2,8 @@
 /// \brief Frozen digests of the sealed `.ckpt`, `.qpol` and `.fsum` bytes.
 ///
 /// Each sample file of tests/support/format_artefacts digests to one FNV-1a
-/// value over its bytes: a `.ckpt` per registered governor, a leaf and a
-/// merged `.qpol`, and a 2-cell `.fsum` with policy records. A digest change
+/// value over its bytes: a `.ckpt` per registered governor, a leaf, a merged
+/// and a fleet-merged `.qpol`, and a 2-cell `.fsum` with policy records. A digest change
 /// means a file format changed. Refactors of the format code must leave
 /// every entry untouched; an intended format change bumps the format version
 /// and re-captures the table.
@@ -76,6 +76,9 @@ const std::map<std::string, std::uint64_t> kCheckpointGoldens = {
 const std::map<std::string, std::uint64_t> kPolicyGoldens = {
     {"leaf", 0x0061ebee06c3e4ee},
     {"merged", 0x904a58bbd7481ed7},
+    // Captured from the fleet fold before it was routed through
+    // qlib::merge_entries.
+    {"fleet", 0xad9b2a05a6af4e4d},
 };
 
 const std::map<std::string, std::uint64_t> kSummaryGoldens = {
