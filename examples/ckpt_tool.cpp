@@ -9,7 +9,6 @@
 /// resuming from it.
 ///
 /// Usage: ckpt_tool path=run.ckpt [mode=info|verify]
-#include <cstdio>
 #include <iostream>
 #include <string>
 
@@ -21,13 +20,7 @@
 namespace {
 
 using prime::common::format_double;
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using prime::common::hex16;
 
 void print_info(const prime::sim::Checkpoint& ck, const std::string& path) {
   const prime::sim::RunResult& agg = ck.aggregates;

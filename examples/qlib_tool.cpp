@@ -20,7 +20,6 @@
 /// fleet policy, then run the evaluation workload cold / warm (one leaf) /
 /// fleet-merged and report early deadline misses and epochs-to-convergence.
 /// Exits nonzero when the fleet-merged warm start fails to beat cold.
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,13 +37,7 @@
 namespace {
 
 using namespace prime;
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using common::hex16;
 
 const char* kind_name(qlib::PolicyBlobKind kind) {
   return kind == qlib::PolicyBlobKind::kLeaf ? "leaf" : "merged";

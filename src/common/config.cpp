@@ -79,11 +79,17 @@ long long Config::get_int(const std::string& key, long long fallback) const {
 
 std::size_t Config::get_count(const std::string& key, std::size_t fallback,
                               std::size_t min) const {
-  const long long n = get_int(key, static_cast<long long>(fallback));
-  if (n < static_cast<long long>(min)) {
-    reject(key, "must be >= " + std::to_string(min) + ", got " +
-                    std::to_string(n));
+  const auto below_min = [&](const std::string& got) {
+    reject(key, "must be >= " + std::to_string(min) + ", got " + got);
+  };
+  // An absent key yields the fallback as is: it never passes through
+  // long long, so a derived 64-bit seed above LLONG_MAX stays intact.
+  if (!has(key)) {
+    if (fallback < min) below_min(std::to_string(fallback));
+    return fallback;
   }
+  const long long n = get_int(key, 0);
+  if (n < static_cast<long long>(min)) below_min(std::to_string(n));
   return static_cast<std::size_t>(n);
 }
 

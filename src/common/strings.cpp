@@ -104,6 +104,19 @@ std::string format_double(double value, int precision) {
   return buf;
 }
 
+std::string format_exact(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+std::string hex16(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
 std::string pad_left(std::string_view text, std::size_t width) {
   if (text.size() >= width) return std::string(text.substr(0, width));
   return std::string(width - text.size(), ' ') + std::string(text);

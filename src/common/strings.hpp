@@ -2,6 +2,7 @@
 /// \brief Small string utilities shared by config/CSV parsing and reporting.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +48,14 @@ void replace_all(std::string& text, std::string_view from, std::string_view to);
 
 /// \brief printf-style double formatting (e.g. format_double(1.234, 2) == "1.23").
 [[nodiscard]] std::string format_double(double value, int precision);
+
+/// \brief %.17g: the shortest printf precision that round-trips every IEEE
+///        double through strtod, so bit-identical values render
+///        byte-identically (CSV reports, dashboard JSON, population args).
+[[nodiscard]] std::string format_exact(double value);
+
+/// \brief Sixteen zero-padded lower-case hex digits (fingerprints).
+[[nodiscard]] std::string hex16(std::uint64_t value);
 
 /// \brief Left-pad/truncate to a fixed width (for plain-text tables).
 [[nodiscard]] std::string pad_left(std::string_view text, std::size_t width);

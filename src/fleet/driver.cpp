@@ -17,22 +17,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "fleet/runner.hpp"
-#include "gov/merge.hpp"
 #include "qlib/library.hpp"
 #include "qlib/policy.hpp"
-#include "sim/experiment.hpp"
 #include "sim/report.hpp"
 
 namespace prime::fleet {
 
 namespace {
 
-std::string format_exact(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
+using common::format_exact;
 
 std::string format_short(double value) {
   char buf[40];
@@ -71,88 +66,48 @@ ShardRunnerOptions worker_options(const FleetOptions& fleet,
 /// Fold one cell's per-shard policy records into a fleet `.qpol` entry in
 /// \p qlib_dir and return its path ("" when the cell's governor has no
 /// mergeable learning state, or when no shard recorded a policy — e.g.
-/// hand-built summaries). Validates record identity across shards with
-/// specific errors before touching the merge, mirroring qlib::merge_entries.
+/// hand-built summaries). Every shard must agree that the cell is mergeable
+/// and on its PolicyShape; each record then becomes a merged entry over its
+/// accumulator, and qlib::merge_entries does the fold.
 std::string merge_cell_policies(const PopulationSpec& pop,
                                 std::size_t cell_index,
-                                const std::vector<CellPolicy>& records,
+                                std::vector<CellPolicy> records,
                                 const std::string& qlib_dir) {
   if (records.empty()) return "";
+  const std::string where = "fleet merge: cell " + std::to_string(cell_index);
   const CellPolicy& first = records.front();
   for (const CellPolicy& rec : records) {
     if (rec.mergeable != first.mergeable) {
-      throw FleetError("fleet merge: cell " + std::to_string(cell_index) +
+      throw FleetError(where +
                        " has a mergeable policy in some shards but not "
                        "others — shards were run by different builds");
     }
-    if (rec.governor_name != first.governor_name) {
-      throw FleetError("fleet merge: cell " + std::to_string(cell_index) +
-                       " was trained by governor '" + first.governor_name +
-                       "' in one shard and '" + rec.governor_name +
-                       "' in another");
-    }
-    if (rec.opp_count != first.opp_count) {
-      throw FleetError("fleet merge: cell " + std::to_string(cell_index) +
-                       " policies have different action spaces (" +
-                       std::to_string(first.opp_count) + " vs " +
-                       std::to_string(rec.opp_count) + " OPPs)");
-    }
-    if (rec.core_count != first.core_count) {
-      throw FleetError("fleet merge: cell " + std::to_string(cell_index) +
-                       " policies have different core counts (" +
-                       std::to_string(first.core_count) + " vs " +
-                       std::to_string(rec.core_count) + ")");
-    }
-    if (rec.platform_fingerprint != first.platform_fingerprint) {
-      throw FleetError("fleet merge: cell " + std::to_string(cell_index) +
-                       " policies carry mismatched platform shape "
-                       "fingerprints — same OPP/core counts but different "
-                       "operating points");
-    }
+    const std::string skew = first.shape.mismatch(rec.shape);
+    if (!skew.empty()) throw FleetError(where + ": " + skew);
   }
   if (!first.mergeable) return "";
 
   const CellCoords cell = pop.cell(cell_index);
-  auto merger = sim::make_governor(cell.governor, 0)->make_state_merger();
-  if (!merger) {
-    throw FleetError("fleet merge: cell " + std::to_string(cell_index) +
-                     " recorded mergeable policies but governor '" +
-                     cell.governor + "' has no state merger in this build");
+  const qlib::PolicyKey key{
+      first.shape.platform_fingerprint,
+      qlib::PolicyKey::workload_class_of(cell.workload),
+      qlib::PolicyKey::fps_band_of(cell.fps),
+      qlib::PolicyKey::canonical_governor_spec(cell.governor)};
+  std::vector<qlib::PolicyEntry> entries;
+  entries.reserve(records.size());
+  for (CellPolicy& rec : records) {
+    qlib::PolicyEntry& entry = entries.emplace_back();
+    entry.key = key;
+    entry.set_shape(rec.shape);
+    entry.kind = qlib::PolicyBlobKind::kMerged;
+    entry.provenance.epochs_trained = rec.epochs;
+    entry.provenance.source_fingerprint = rec.source_fingerprint;
+    entry.blob = std::move(rec.accumulator);
   }
-  std::uint64_t epochs = 0;
-  std::uint64_t source_fingerprint = 0;
-  for (const CellPolicy& rec : records) {
-    try {
-      merger->add_accumulator(rec.accumulator);
-    } catch (const gov::StateMergeError& e) {
-      throw FleetError("fleet merge: cell " + std::to_string(cell_index) +
-                       ": " + e.what());
-    }
-    epochs += rec.epochs;
-    source_fingerprint ^= rec.source_fingerprint;
-  }
-
-  qlib::PolicyEntry entry;
-  entry.key.platform_fingerprint = first.platform_fingerprint;
-  entry.key.workload_class = qlib::PolicyKey::workload_class_of(cell.workload);
-  entry.key.fps_band = qlib::PolicyKey::fps_band_of(cell.fps);
-  entry.key.governor_spec =
-      qlib::PolicyKey::canonical_governor_spec(cell.governor);
-  entry.governor_name = first.governor_name;
-  entry.opp_count = first.opp_count;
-  entry.core_count = first.core_count;
-  entry.kind = qlib::PolicyBlobKind::kMerged;
-  entry.provenance.visit_weight = merger->weight();
-  entry.provenance.epochs_trained = epochs;
-  entry.provenance.sources = merger->sources();
-  entry.provenance.source_fingerprint = source_fingerprint;
-  entry.blob = merger->accumulator();
-
   try {
-    qlib::PolicyLibrary lib(qlib_dir);
-    return lib.put(entry);
+    return qlib::PolicyLibrary(qlib_dir).put(qlib::merge_entries(entries));
   } catch (const qlib::QlibError& e) {
-    throw FleetError(std::string("fleet merge: ") + e.what());
+    throw FleetError(where + ": " + e.what());
   }
 }
 
@@ -312,7 +267,7 @@ PopulationReport FleetDriver::merge_shards(const PopulationSpec& pop,
 
   std::map<std::uint64_t, CellStats> merged;
   // Per-cell policy records in shard-index order; the policy fold happens
-  // after coverage is validated. add_accumulator is associative and
+  // after coverage is validated. The merge is associative and
   // order-invariant, so the emitted `.qpol` bytes are identical under any
   // shard partition — the fleet-merge differential pins this.
   std::map<std::uint64_t, std::vector<CellPolicy>> policies;
@@ -408,9 +363,8 @@ PopulationReport FleetDriver::merge_shards(const PopulationSpec& pop,
     row.perf_p50 = stats.perf_hist.percentile(50.0);
     row.perf_p95 = stats.perf_hist.percentile(95.0);
     row.perf_p99 = stats.perf_hist.percentile(99.0);
-    row.policy_path = merge_cell_policies(pop, cell_index,
-                                          policies[cell_index],
-                                          out_dir + "/qlib");
+    row.policy_path = merge_cell_policies(
+        pop, cell_index, std::move(policies[cell_index]), out_dir + "/qlib");
     report.rows.push_back(std::move(row));
     report.cells.push_back(stats);
   }

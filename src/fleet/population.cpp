@@ -1,7 +1,6 @@
 #include "fleet/population.hpp"
 
 #include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -12,14 +11,9 @@
 namespace prime::fleet {
 namespace {
 
-/// Round-trip double rendering: 17 significant digits reproduce the exact
-/// bits through strtod, so to_args() parsed back through from_config builds
+/// Round-trip rendering, so to_args() parsed back through from_config builds
 /// a fingerprint-identical population.
-std::string format_exact(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
+using common::format_exact;
 
 std::vector<double> parse_double_list(const std::string& text,
                                       const char* key) {

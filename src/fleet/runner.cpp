@@ -89,15 +89,12 @@ DeviceOutcome run_device_outcome(const PopulationSpec& pop,
   run_opts.sinks = sinks;
   DeviceOutcome out;
   out.result = sim::run_simulation(*platform, app, *governor, run_opts);
-  out.governor_name = governor->name();
   {
     std::ostringstream state(std::ios::binary);
     governor->save_state(state);
     out.governor_state = state.str();
   }
-  out.opp_count = platform->opp_table().size();
-  out.core_count = platform->total_cores();
-  out.platform_fingerprint = platform->shape_fingerprint();
+  out.shape = qlib::PolicyShape::of(*platform, *governor);
   return out;
 }
 
@@ -169,10 +166,7 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
     auto pit = summary.policies.find(dev.cell);
     if (pit == summary.policies.end()) {
       CellPolicy policy;
-      policy.governor_name = outcome.governor_name;
-      policy.opp_count = outcome.opp_count;
-      policy.core_count = outcome.core_count;
-      policy.platform_fingerprint = outcome.platform_fingerprint;
+      policy.shape = outcome.shape;
       auto merger = sim::make_governor(dev.governor, 0)->make_state_merger();
       policy.mergeable = merger != nullptr;
       if (merger) mergers.emplace(dev.cell, std::move(merger));

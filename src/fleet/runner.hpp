@@ -52,14 +52,11 @@ struct ShardRunnerOptions {
 
 /// \brief One device's full outcome: the run aggregates plus the trained
 ///        governor state (what the policy accumulation folds) and the
-///        platform-shape identity it was trained on.
+///        identity it was trained under.
 struct DeviceOutcome {
   sim::RunResult result;
-  std::string governor_name;    ///< Governor display name.
-  std::string governor_state;   ///< gov::Governor::save_state payload.
-  std::uint64_t opp_count = 0;
-  std::uint64_t core_count = 0;
-  std::uint64_t platform_fingerprint = 0;
+  std::string governor_state;  ///< gov::Governor::save_state payload.
+  qlib::PolicyShape shape;     ///< Governor and board the state belongs to.
 };
 
 /// \brief Simulate one device of \p pop on a fresh platform and return its

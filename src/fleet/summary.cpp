@@ -136,10 +136,10 @@ void ShardSummary::write(std::ostream& out) const {
     for (const auto& [cell_index, policy] : policies) {
       w.u64(cell_index);
       w.boolean(policy.mergeable);
-      w.str(policy.governor_name);
-      w.u64(policy.opp_count);
-      w.u64(policy.core_count);
-      w.u64(policy.platform_fingerprint);
+      w.str(policy.shape.governor_name);
+      w.u64(policy.shape.opp_count);
+      w.u64(policy.shape.core_count);
+      w.u64(policy.shape.platform_fingerprint);
       w.u64(policy.epochs);
       w.u64(policy.source_fingerprint);
       w.blob(policy.accumulator);
@@ -174,10 +174,10 @@ ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
       }
       CellPolicy& policy = s.policies[cell_index];
       policy.mergeable = r.boolean();
-      policy.governor_name = r.str();
-      policy.opp_count = r.u64();
-      policy.core_count = r.u64();
-      policy.platform_fingerprint = r.u64();
+      policy.shape.governor_name = r.str();
+      policy.shape.opp_count = r.u64();
+      policy.shape.core_count = r.u64();
+      policy.shape.platform_fingerprint = r.u64();
       policy.epochs = r.u64();
       policy.source_fingerprint = r.u64();
       policy.accumulator = r.blob();

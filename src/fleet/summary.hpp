@@ -48,6 +48,7 @@
 
 #include "common/stats.hpp"
 #include "fleet/population.hpp"
+#include "qlib/policy.hpp"
 #include "sim/engine.hpp"
 
 namespace prime::fleet {
@@ -112,14 +113,11 @@ struct CellStats {
 /// shard folded so far — associative and order-invariant, so the driver's
 /// cross-shard fold is bit-identical under any partition. Non-mergeable
 /// governors record mergeable=false (deterministically skipped downstream).
-/// The identity fields mirror a `.qpol` entry's and are validated at merge
-/// time with the same specific errors.
+/// The shape is a `.qpol` entry's identity and is checked across shards at
+/// merge time through qlib::PolicyShape::mismatch.
 struct CellPolicy {
   bool mergeable = false;           ///< Whether the governor has a merger.
-  std::string governor_name;        ///< Governor display name.
-  std::uint64_t opp_count = 0;      ///< Device OPP-table size.
-  std::uint64_t core_count = 0;     ///< Device cluster core count.
-  std::uint64_t platform_fingerprint = 0;  ///< hw shape fingerprint.
+  qlib::PolicyShape shape;          ///< Governor and board of every device.
   std::uint64_t epochs = 0;         ///< Σ epochs trained across devices.
   std::uint64_t source_fingerprint = 0;  ///< XOR of per-device fingerprints.
   /// StateMerger accumulator bytes; run_shard refreshes them from its live

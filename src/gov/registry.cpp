@@ -11,8 +11,7 @@ GovernorRegistry& governor_registry() {
 }
 
 std::uint64_t effective_seed(const common::Spec& spec, std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(
-      spec.get_int("seed", static_cast<long long>(fallback)));
+  return spec.get_count("seed", fallback, 0);
 }
 
 }  // namespace prime::gov

@@ -52,8 +52,7 @@ std::unique_ptr<Platform> Platform::from_config(const common::Config& cfg) {
   params.thermal.ambient = cfg.get_double("hw.ambient", params.thermal.ambient);
   params.initial_opp = table.size() / 2;
 
-  const auto seed =
-      static_cast<std::uint64_t>(cfg.get_int("hw.sensor_seed", 0xC0FFEE));
+  const std::uint64_t seed = cfg.get_count("hw.sensor_seed", 0xC0FFEE, 0);
   auto platform = std::make_unique<Platform>(std::move(table), params,
                                              PowerSensorParams{}, seed,
                                              clusters);

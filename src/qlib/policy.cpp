@@ -1,13 +1,13 @@
 #include "qlib/policy.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "common/hash.hpp"
 #include "common/sealed.hpp"
 #include "common/serial.hpp"
 #include "common/spec.hpp"
+#include "common/strings.hpp"
 #include "gov/merge.hpp"
 #include "gov/registry.hpp"
 #include "hw/platform.hpp"
@@ -20,14 +20,40 @@ constexpr common::SealedFormat kFormat{kQpolMagic, kQpolVersion, "policy",
                                        "policy entry",
                                        &common::throw_as<QlibError>};
 
-std::string hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
+using common::hex16;
 
 }  // namespace
+
+// --- PolicyShape -------------------------------------------------------------
+
+PolicyShape PolicyShape::of(const hw::Platform& platform,
+                            const gov::Governor& governor) {
+  return {governor.name(), platform.opp_table().size(), platform.total_cores(),
+          platform.shape_fingerprint()};
+}
+
+std::string PolicyShape::mismatch(const PolicyShape& other) const {
+  if (governor_name != other.governor_name) {
+    return "governor mismatch ('" + governor_name + "' vs '" +
+           other.governor_name + "')";
+  }
+  if (opp_count != other.opp_count) {
+    return "OPP count mismatch (" + std::to_string(opp_count) + " vs " +
+           std::to_string(other.opp_count) +
+           ") — trained on a different action space";
+  }
+  if (core_count != other.core_count) {
+    return "core count mismatch (" + std::to_string(core_count) + " vs " +
+           std::to_string(other.core_count) + ")";
+  }
+  if (platform_fingerprint != other.platform_fingerprint) {
+    return "platform shape fingerprint mismatch (" +
+           hex16(platform_fingerprint) + " vs " +
+           hex16(other.platform_fingerprint) +
+           ") — same OPP/core counts but different operating points";
+  }
+  return "";
+}
 
 // --- PolicyKey ---------------------------------------------------------------
 
@@ -166,6 +192,17 @@ PolicyEntry PolicyEntry::load_file(const std::string& path) {
   return entry;
 }
 
+PolicyShape PolicyEntry::shape() const {
+  return {governor_name, opp_count, core_count, key.platform_fingerprint};
+}
+
+void PolicyEntry::set_shape(const PolicyShape& shape) {
+  governor_name = shape.governor_name;
+  opp_count = shape.opp_count;
+  core_count = shape.core_count;
+  key.platform_fingerprint = shape.platform_fingerprint;
+}
+
 std::string PolicyEntry::state_for(const gov::Governor& governor) const {
   if (governor.name() != governor_name) {
     throw QlibError("policy entry trained for governor '" + governor_name +
@@ -196,9 +233,7 @@ PolicyEntry make_leaf_entry(const hw::Platform& platform,
   entry.key = PolicyKey::make(
       platform, workload, fps,
       governor_spec.empty() ? governor.name() : governor_spec);
-  entry.governor_name = governor.name();
-  entry.opp_count = platform.opp_table().size();
-  entry.core_count = platform.total_cores();
+  entry.set_shape(PolicyShape::of(platform, governor));
   entry.kind = PolicyBlobKind::kLeaf;
   {
     std::ostringstream out(std::ios::binary);
@@ -231,35 +266,16 @@ PolicyEntry merge_entries(const std::vector<PolicyEntry>& entries) {
     throw QlibError("policy merge: no entries to merge");
   }
   const PolicyEntry& first = entries.front();
-  // Shape skew gets its own specific error per axis — mirroring the
-  // checkpoint identity-mismatch errors — before any state bytes are touched.
+  // Identity skew gets its own specific error before any state bytes are
+  // touched.
+  const PolicyShape shape = first.shape();
   for (const PolicyEntry& e : entries) {
-    if (e.governor_name != first.governor_name) {
-      throw QlibError("policy merge: governor mismatch ('" +
-                      first.governor_name + "' vs '" + e.governor_name + "')");
-    }
+    const std::string skew = shape.mismatch(e.shape());
+    if (!skew.empty()) throw QlibError("policy merge: " + skew);
     if (e.key.governor_spec != first.key.governor_spec) {
       throw QlibError("policy merge: governor spec mismatch ('" +
                       first.key.governor_spec + "' vs '" +
                       e.key.governor_spec + "')");
-    }
-    if (e.opp_count != first.opp_count) {
-      throw QlibError("policy merge: OPP count mismatch (" +
-                      std::to_string(first.opp_count) + " vs " +
-                      std::to_string(e.opp_count) +
-                      ") — the entries were trained on different action "
-                      "spaces");
-    }
-    if (e.core_count != first.core_count) {
-      throw QlibError("policy merge: core count mismatch (" +
-                      std::to_string(first.core_count) + " vs " +
-                      std::to_string(e.core_count) + ")");
-    }
-    if (e.key.platform_fingerprint != first.key.platform_fingerprint) {
-      throw QlibError("policy merge: platform shape mismatch (" +
-                      hex16(first.key.platform_fingerprint) + " vs " +
-                      hex16(e.key.platform_fingerprint) +
-                      ") — same table size but different operating points");
     }
     if (e.key != first.key) {
       throw QlibError("policy merge: key mismatch ('" + first.key.canonical() +
@@ -282,14 +298,8 @@ PolicyEntry merge_entries(const std::vector<PolicyEntry>& entries) {
 
   PolicyEntry merged;
   merged.key = first.key;
-  merged.governor_name = first.governor_name;
-  merged.opp_count = first.opp_count;
-  merged.core_count = first.core_count;
+  merged.set_shape(shape);
   merged.kind = PolicyBlobKind::kMerged;
-  merged.provenance.visit_weight = 0;
-  merged.provenance.epochs_trained = 0;
-  merged.provenance.sources = 0;
-  merged.provenance.source_fingerprint = 0;
   try {
     for (const PolicyEntry& e : entries) {
       if (e.kind == PolicyBlobKind::kLeaf) {
@@ -298,14 +308,15 @@ PolicyEntry merge_entries(const std::vector<PolicyEntry>& entries) {
         merger->add_accumulator(e.blob);
       }
       merged.provenance.epochs_trained += e.provenance.epochs_trained;
-      merged.provenance.sources += e.provenance.sources;
       merged.provenance.source_fingerprint ^=
           e.provenance.source_fingerprint;
     }
   } catch (const gov::StateMergeError& e) {
     throw QlibError(std::string("policy merge: ") + e.what());
   }
+  // The merger counts leaves folded in directly and carried by accumulators.
   merged.provenance.visit_weight = merger->weight();
+  merged.provenance.sources = merger->sources();
   merged.blob = merger->accumulator();
   return merged;
 }

@@ -60,6 +60,32 @@ class QlibError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// \brief The identity learned state is only valid under.
+///
+/// A governor's learning state means something only to the governor that
+/// wrote it, on a board with the same OPP count (the action space), core
+/// count and V-F shape fingerprint (the same table size is not the same
+/// table). `.ckpt` resume, `.qpol` warm start, merge_entries and the fleet
+/// merge all decide "may this state be used here?" through mismatch(); each
+/// caller adds its own prefix and error type.
+struct PolicyShape {
+  std::string governor_name;               ///< Governor display name.
+  std::uint64_t opp_count = 0;             ///< OPP-table size.
+  std::uint64_t core_count = 0;            ///< Total core count.
+  std::uint64_t platform_fingerprint = 0;  ///< hw::Platform::shape_fingerprint.
+
+  /// \brief The shape of \p governor running on \p platform.
+  [[nodiscard]] static PolicyShape of(const hw::Platform& platform,
+                                      const gov::Governor& governor);
+
+  /// \brief "" when the shapes match; otherwise one message naming the first
+  ///        axis that differs (governor, OPP count, core count, fingerprint),
+  ///        with this shape's value first.
+  [[nodiscard]] std::string mismatch(const PolicyShape& other) const;
+
+  [[nodiscard]] bool operator==(const PolicyShape& other) const = default;
+};
+
 /// \brief The identity a policy entry is keyed and looked up by.
 ///
 /// Two runs share a key iff a trained state is transferable between them:
@@ -129,6 +155,12 @@ struct PolicyEntry {
   PolicyProvenance provenance;
   std::string blob;  ///< Leaf state payload or merge accumulator bytes.
 
+  /// \brief The identity fields as one value (the key carries the
+  ///        fingerprint).
+  [[nodiscard]] PolicyShape shape() const;
+  /// \brief Set the identity fields, the key's fingerprint included.
+  void set_shape(const PolicyShape& shape);
+
   /// \brief Serialise header + payload onto \p out and seal in place
   ///        (requires a seekable stream). Throws QlibError on write failure.
   void write(std::ostream& out) const;
@@ -162,12 +194,12 @@ struct PolicyEntry {
 
 /// \brief Fuse many entries of the same key into one merged fleet policy.
 ///
-/// Validates that every entry agrees on governor spec, platform shape (OPP
-/// and core counts, shape fingerprint), workload class and fps band —
-/// mismatches throw QlibError naming the skew, mirroring the checkpoint
-/// identity-mismatch errors — then folds leaf blobs and merged accumulators
-/// through the governor's StateMerger. The result is kMerged with summed
-/// provenance; its bytes are identical for any order or grouping of
+/// Validates that every entry has the same PolicyShape and the same key
+/// (governor spec, workload class, fps band) — mismatches throw QlibError
+/// naming the skew — then folds leaf blobs and merged accumulators through
+/// the governor's StateMerger. The result is kMerged: visit weight and
+/// source count come from the merger, epochs are summed and source
+/// fingerprints XORed. Its bytes are identical for any order or grouping of
 /// \p entries (the merge-algebra property pinned by tests/test_qlib.cpp).
 [[nodiscard]] PolicyEntry merge_entries(const std::vector<PolicyEntry>& entries);
 

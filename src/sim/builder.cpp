@@ -299,11 +299,6 @@ ExperimentBuilder& ExperimentBuilder::governor_seed(std::uint64_t seed) {
   return *this;
 }
 
-ExperimentBuilder& ExperimentBuilder::threads_per_frame(std::size_t n) {
-  base_.threads = n;
-  return *this;
-}
-
 ExperimentBuilder& ExperimentBuilder::target_utilisation(double u) {
   base_.target_utilisation = u;
   return *this;

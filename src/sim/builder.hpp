@@ -200,8 +200,6 @@ class ExperimentBuilder {
   ExperimentBuilder& trace_seed(std::uint64_t seed);
   /// \brief Seed handed to every governor factory (spec seed= overrides).
   ExperimentBuilder& governor_seed(std::uint64_t seed);
-  /// \brief Worker threads per frame (ExperimentSpec::threads).
-  ExperimentBuilder& threads_per_frame(std::size_t n);
   /// \brief Calibration target utilisation (0 disables calibration).
   ExperimentBuilder& target_utilisation(double u);
   /// \brief Memory-boundedness override (negative = per-workload default).

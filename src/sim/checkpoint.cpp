@@ -154,7 +154,7 @@ const TelemetrySinkRegistrar reg_checkpoint{
     "every=0 writes only the final run-end checkpoint",
     [](const common::Spec& spec) {
       const std::string path = spec.get_string("path", "");
-      const long long every = spec.get_int("every", 0);
+      const std::size_t every = spec.get_count("every", 0, 0);
       if (path.empty()) {
         const auto unknown = spec.unrequested_keys();
         if (!unknown.empty()) {
@@ -165,13 +165,7 @@ const TelemetrySinkRegistrar reg_checkpoint{
             "telemetry sink 'checkpoint': a path is required, e.g. "
             "checkpoint(path=out/run.ckpt,every=50000)");
       }
-      if (every < 0) {
-        throw std::invalid_argument(
-            "telemetry sink 'checkpoint': every must be >= 0 (got " +
-            std::to_string(every) + ")");
-      }
-      return std::make_unique<CheckpointSink>(
-          path, static_cast<std::size_t>(every));
+      return std::make_unique<CheckpointSink>(path, every);
     }};
 
 }  // namespace

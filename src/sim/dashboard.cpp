@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/spec.hpp"
+#include "common/strings.hpp"
 #include "sim/bintrace.hpp"
 #include "sim/run_binding.hpp"
 
@@ -16,15 +17,9 @@ namespace prime::sim {
 
 namespace {
 
-/// \brief %.17g: the shortest printf precision that round-trips every IEEE
-///        double, so two renderings of bit-identical values are
-///        byte-identical — what the dashboard-vs-aggregate differential
-///        compares.
-std::string json_f64(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
+/// \brief Round-trip exact, so bit-identical values render byte-identically
+///        — what the dashboard-vs-aggregate differential compares.
+std::string json_f64(double value) { return common::format_exact(value); }
 
 std::string json_u64(std::uint64_t value) { return std::to_string(value); }
 
@@ -341,22 +336,11 @@ const TelemetrySinkRegistrar reg_dashboard{
             "telemetry sink 'dashboard': port must be in [0, 65535], got " +
             std::to_string(port));
       }
-      const long long every = spec.get_int("every", 1000);
-      if (every < 1) {
-        throw std::invalid_argument(
-            "telemetry sink 'dashboard': every must be >= 1 epochs, got " +
-            std::to_string(every));
-      }
-      const long long tail = spec.get_int("tail", 256);
-      if (tail < 0) {
-        throw std::invalid_argument(
-            "telemetry sink 'dashboard': tail must be >= 0, got " +
-            std::to_string(tail));
-      }
+      const std::size_t every = spec.get_count("every", 1000);
+      const std::size_t tail = spec.get_count("tail", 256, 0);
       const std::string bt = spec.get_string("bt", "");
-      return std::make_unique<DashboardSink>(
-          static_cast<std::uint16_t>(port), static_cast<std::size_t>(every),
-          static_cast<std::size_t>(tail), bt);
+      return std::make_unique<DashboardSink>(static_cast<std::uint16_t>(port),
+                                             every, tail, bt);
     }};
 
 }  // namespace

@@ -139,33 +139,22 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   std::optional<Checkpoint> resume;
   if (!options.resume_from.empty()) {
     resume = Checkpoint::load_file(options.resume_from);
-    if (resume->governor != governor.name() ||
-        resume->application != app.name()) {
-      throw CheckpointError(
-          "checkpoint '" + options.resume_from + "': saved for governor '" +
-          resume->governor + "' on application '" + resume->application +
-          "', cannot resume governor '" + governor.name() +
-          "' on application '" + app.name() + "'");
-    }
     // Governors size their learning tables lazily from the action/core
     // space; a shape mismatch would silently re-initialise the restored
     // state on the first decision, so reject it up front.
-    if (resume->opp_count != platform.opp_table().size() ||
-        resume->core_count != platform.total_cores()) {
-      throw CheckpointError(
-          "checkpoint '" + options.resume_from + "': saved on a platform "
-          "with " + std::to_string(resume->opp_count) + " OPPs and " +
-          std::to_string(resume->core_count) + " cores, cannot resume on " +
-          std::to_string(platform.opp_table().size()) + " OPPs and " +
-          std::to_string(platform.total_cores()) + " cores");
+    const std::string skew =
+        qlib::PolicyShape{resume->governor, resume->opp_count,
+                          resume->core_count, resume->platform_fingerprint}
+            .mismatch(qlib::PolicyShape::of(platform, governor));
+    if (!skew.empty()) {
+      throw CheckpointError("checkpoint '" + options.resume_from +
+                            "' cannot resume this run: " + skew);
     }
-    // Same table *size* is not same table: the V-F points themselves shape
-    // what the learned state means, so the full shape fingerprint must match.
-    if (resume->platform_fingerprint != platform.shape_fingerprint()) {
+    if (resume->application != app.name()) {
       throw CheckpointError(
-          "checkpoint '" + options.resume_from +
-          "': platform shape fingerprint mismatch — saved on a platform with "
-          "the same OPP/core counts but different operating points");
+          "checkpoint '" + options.resume_from + "': saved on application '" +
+          resume->application + "', cannot resume on application '" +
+          app.name() + "'");
     }
     {
       std::istringstream in(resume->governor_state);
@@ -184,28 +173,11 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       // starts from zero.
       const qlib::PolicyEntry entry =
           resolve_warm_start(options.warm_start_from, platform, app, governor);
-      if (entry.governor_name != governor.name()) {
-        throw qlib::QlibError(
-            "warm start '" + options.warm_start_from +
-            "': entry trained for governor '" + entry.governor_name +
-            "', cannot warm-start '" + governor.name() + "'");
-      }
-      if (entry.opp_count != platform.opp_table().size() ||
-          entry.core_count != platform.total_cores()) {
-        throw qlib::QlibError(
-            "warm start '" + options.warm_start_from +
-            "': entry trained on a platform with " +
-            std::to_string(entry.opp_count) + " OPPs and " +
-            std::to_string(entry.core_count) + " cores, cannot apply on " +
-            std::to_string(platform.opp_table().size()) + " OPPs and " +
-            std::to_string(platform.total_cores()) + " cores");
-      }
-      if (entry.key.platform_fingerprint != platform.shape_fingerprint()) {
-        throw qlib::QlibError(
-            "warm start '" + options.warm_start_from +
-            "': platform shape fingerprint mismatch — the entry was trained "
-            "on a platform with the same OPP/core counts but different "
-            "operating points");
+      const std::string skew =
+          entry.shape().mismatch(qlib::PolicyShape::of(platform, governor));
+      if (!skew.empty()) {
+        throw qlib::QlibError("warm start '" + options.warm_start_from +
+                              "': " + skew);
       }
       const std::string state = entry.state_for(governor);
       std::istringstream in(state);

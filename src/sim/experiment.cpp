@@ -51,7 +51,7 @@ wl::Application make_application(const ExperimentSpec& spec,
                                      frame_capacity(platform, spec.fps));
       }
       return wl::Application(spec.workload, std::move(trace), spec.fps,
-                             spec.threads, spec.thread_imbalance);
+                             spec.threads);
     }
     // Streaming mode: calibrate by streaming the same spec.frames-long window
     // the materialised path would scale over — O(1) memory — and apply the
@@ -81,7 +81,7 @@ wl::Application make_application(const ExperimentSpec& spec,
       return source;
     };
     return wl::Application(spec.workload, std::move(factory), spec.fps,
-                           spec.threads, spec.thread_imbalance);
+                           spec.threads);
   }();
 
   double mem = spec.mem_fraction;

@@ -39,15 +39,14 @@ struct ExperimentSpec {
   /// trace's for the first `frames` frames (calibration computes the same
   /// scale over the same window, with the same rounding).
   bool stream = false;
-  std::size_t threads = 4;        ///< Worker threads per frame.
-  double thread_imbalance = 0.05; ///< Per-frame thread imbalance.
+  std::size_t threads = 4;  ///< Worker threads per frame.
   /// Target mean platform utilisation at the fastest OPP (0 disables
   /// calibration and uses the generator's own demand level). Calibration
   /// scales the trace so mean demand = target * cores * f_max * Tref,
   /// keeping every workload feasible yet DVFS-interesting at any fps.
   double target_utilisation = 0.45;
   /// Memory-boundedness (stall-time fraction at 1 GHz). Negative selects a
-  /// per-workload default: video decode 0.25, FFT 0.10, otherwise 0.20.
+  /// per-workload default: video decode 0.15, FFT 0.08, otherwise 0.12.
   double mem_fraction = -1.0;
 };
 

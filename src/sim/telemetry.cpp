@@ -220,16 +220,16 @@ const TelemetrySinkRegistrar reg_tail{
     telemetry_registry(), "tail",
     "ring buffer of the last n epochs: tail(n=64)",
     [](const common::Spec& spec) {
-      const long long n = spec.get_int("n", 64);
+      const std::size_t n = spec.get_count("n", 64);
       // Upper bound keeps a typo'd spec a diagnostic instead of an eager
       // multi-GB ring allocation; windows beyond this want a TraceSink.
-      constexpr long long kMaxTail = 1'000'000;
-      if (n <= 0 || n > kMaxTail) {
+      constexpr std::size_t kMaxTail = 1'000'000;
+      if (n > kMaxTail) {
         throw std::invalid_argument(
             "telemetry sink 'tail': n must be in [1, " +
             std::to_string(kMaxTail) + "] (got " + std::to_string(n) + ")");
       }
-      return std::make_unique<TailSink>(static_cast<std::size_t>(n));
+      return std::make_unique<TailSink>(n);
     }};
 
 const TelemetrySinkRegistrar reg_csv{
@@ -247,34 +247,21 @@ const TelemetrySinkRegistrar reg_sample{
     "decimating pass-through to an inner sink: "
     "sample(every=1000,inner=csv(path=out/run.csv))",
     [](const common::Spec& spec) {
-      const long long every = spec.get_int("every", 0);
+      const std::size_t every = spec.get_count("every", 0);
       const std::string inner = spec.get_string("inner", "");
-      if (every <= 0) {
-        throw std::invalid_argument(
-            "telemetry sink 'sample': every must be >= 1 (got " +
-            std::to_string(every) + ")");
-      }
       if (inner.empty()) {
         throw std::invalid_argument(
             "telemetry sink 'sample': an inner sink spec is required, e.g. "
             "sample(every=1000,inner=csv(path=out/run.csv))");
       }
-      return std::make_unique<SampleSink>(static_cast<std::size_t>(every),
-                                          make_sink(inner));
+      return std::make_unique<SampleSink>(every, make_sink(inner));
     }};
 
 const TelemetrySinkRegistrar reg_convergence{
     telemetry_registry(), "convergence",
     "policy-stability convergence tracking: convergence(stable=25)",
     [](const common::Spec& spec) {
-      const long long stable = spec.get_int("stable", 25);
-      if (stable <= 0) {
-        throw std::invalid_argument(
-            "telemetry sink 'convergence': stable must be >= 1 (got " +
-            std::to_string(stable) + ")");
-      }
-      return std::make_unique<ConvergenceSink>(
-          static_cast<std::size_t>(stable));
+      return std::make_unique<ConvergenceSink>(spec.get_count("stable", 25));
     }};
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "fleet/population.hpp"
 #include "hw/platform.hpp"
 #include "sim/experiment.hpp"
+#include "sim/telemetry.hpp"
 #include "wl/suites.hpp"
 
 namespace prime::common {
@@ -147,9 +148,19 @@ TEST(Config, KeysSorted) {
 namespace prime {
 namespace {
 
-/// (what parses the key, the governor or workload that owns it — "" for
-/// platform and population keys —, the key, its smallest accepted value).
-enum class Parser { kPlatform, kPopulation, kGovernor, kWorkload };
+/// (what parses the key, the governor, workload or telemetry sink that owns
+/// it — "" for platform and population keys —, the key, its smallest
+/// accepted value).
+enum class Parser { kPlatform, kPopulation, kGovernor, kWorkload, kSink };
+
+/// The arguments a sink needs besides the key under test, so the count is
+/// what gets rejected.
+std::string sink_required_args(const std::string& sink) {
+  if (sink == "dashboard") return "port=0,";
+  if (sink == "checkpoint") return "path=unused.ckpt,";
+  if (sink == "sample") return "inner=trace,";
+  return "";
+}
 using CountCase = std::tuple<Parser, std::string, std::string, long long>;
 
 class CountKeys
@@ -185,6 +196,10 @@ TEST_P(CountKeys, ValuesBelowTheMinimumAreRejectedByKey) {
       case Parser::kWorkload:
         (void)wl::make_workload(spec + "(" + key + "=" + text + ")");
         break;
+      case Parser::kSink:
+        (void)sim::make_sink(spec + "(" + sink_required_args(spec) + key +
+                             "=" + text + ")");
+        break;
     }
     FAIL() << key << "=" << text << " accepted";
   } catch (const std::invalid_argument& e) {
@@ -200,6 +215,21 @@ TEST(CountKeys, SpecKeysAcceptZero) {
   EXPECT_NO_THROW((void)sim::make_governor("thermal-cap(step=0)"));
   EXPECT_NO_THROW((void)sim::make_governor("ondemand(sampling=0)"));
   EXPECT_NO_THROW((void)wl::make_workload("video(gop=0)"));
+  EXPECT_NO_THROW((void)sim::make_governor("rtm(seed=0)"));
+  EXPECT_NO_THROW((void)sim::make_sink("dashboard(port=0,tail=0)"));
+  EXPECT_NO_THROW((void)sim::make_sink("checkpoint(path=unused.ckpt,every=0)"));
+  common::Config cfg;
+  cfg.set("hw.sensor_seed", "0");
+  EXPECT_NO_THROW((void)hw::Platform::from_config(cfg));
+}
+
+TEST(CountKeys, AbsentKeyKeepsAFallbackAboveLongLongMax) {
+  // Derived 64-bit seeds reach the governors as fallbacks; they must pass
+  // through unchanged rather than wrap negative and be rejected.
+  const std::size_t big = std::numeric_limits<std::uint64_t>::max();
+  const common::Config cfg;
+  EXPECT_EQ(cfg.get_count("seed", big, 0), big);
+  EXPECT_NO_THROW((void)sim::make_governor("rtm", big));
 }
 
 std::string count_case_name(
@@ -232,7 +262,15 @@ INSTANTIATE_TEST_SUITE_P(
             CountCase{Parser::kGovernor, "conservative", "step", 0},
             CountCase{Parser::kGovernor, "thermal-cap", "step", 0},
             CountCase{Parser::kGovernor, "ondemand", "sampling", 0},
-            CountCase{Parser::kWorkload, "video", "gop", 0}),
+            CountCase{Parser::kWorkload, "video", "gop", 0},
+            CountCase{Parser::kPlatform, "", "hw.sensor_seed", 0},
+            CountCase{Parser::kGovernor, "rtm", "seed", 0},
+            CountCase{Parser::kSink, "tail", "n", 1},
+            CountCase{Parser::kSink, "sample", "every", 1},
+            CountCase{Parser::kSink, "convergence", "stable", 1},
+            CountCase{Parser::kSink, "dashboard", "every", 1},
+            CountCase{Parser::kSink, "dashboard", "tail", 0},
+            CountCase{Parser::kSink, "checkpoint", "every", 0}),
         testing::Values(-1LL, std::numeric_limits<long long>::min())),
     count_case_name);
 

@@ -674,10 +674,11 @@ TEST(FleetPolicyMerge, ShardSummaryPoliciesRoundTrip) {
     const auto it = loaded.policies.find(cell);
     ASSERT_NE(it, loaded.policies.end());
     EXPECT_EQ(it->second.mergeable, policy.mergeable);
-    EXPECT_EQ(it->second.governor_name, policy.governor_name);
-    EXPECT_EQ(it->second.opp_count, policy.opp_count);
-    EXPECT_EQ(it->second.core_count, policy.core_count);
-    EXPECT_EQ(it->second.platform_fingerprint, policy.platform_fingerprint);
+    EXPECT_EQ(it->second.shape.governor_name, policy.shape.governor_name);
+    EXPECT_EQ(it->second.shape.opp_count, policy.shape.opp_count);
+    EXPECT_EQ(it->second.shape.core_count, policy.shape.core_count);
+    EXPECT_EQ(it->second.shape.platform_fingerprint,
+              policy.shape.platform_fingerprint);
     EXPECT_EQ(it->second.epochs, policy.epochs);
     EXPECT_EQ(it->second.source_fingerprint, policy.source_fingerprint);
     EXPECT_EQ(it->second.accumulator, policy.accumulator);
