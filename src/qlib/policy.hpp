@@ -82,8 +82,6 @@ struct PolicyShape {
   ///        axis that differs (governor, OPP count, core count, fingerprint),
   ///        with this shape's value first.
   [[nodiscard]] std::string mismatch(const PolicyShape& other) const;
-
-  [[nodiscard]] bool operator==(const PolicyShape& other) const = default;
 };
 
 /// \brief The identity a policy entry is keyed and looked up by.

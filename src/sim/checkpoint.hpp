@@ -28,10 +28,11 @@
 /// torn file is rejected with a specific error instead of resuming from
 /// garbage.
 ///
-/// Identity is enforced on load+resume: the stored governor and application
-/// names must match the resuming run exactly (resuming `shen-rl-upd` state
-/// into `pid-slack` fails loudly), and the opaque blobs additionally fail
-/// closed on any structural mismatch (common::SerialError).
+/// Identity is enforced on load+resume: the stored governor name and platform
+/// shape must pass qlib::PolicyShape::mismatch against the resuming run
+/// (resuming `shen-rl-upd` state into `pid-slack` fails loudly), the
+/// application name must match exactly, and the opaque blobs additionally
+/// fail closed on any structural mismatch (common::SerialError).
 #pragma once
 
 #include <array>

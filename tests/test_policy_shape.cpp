@@ -164,7 +164,7 @@ TEST(PolicyShape, OfReadsTheBoardAndTheGovernor) {
   EXPECT_EQ(shape.core_count, platform->total_cores());
   EXPECT_EQ(shape.platform_fingerprint, platform->shape_fingerprint());
   EXPECT_EQ(shape.mismatch(shape), "");
-  EXPECT_EQ(trained().leaf.shape(), shape);
+  EXPECT_EQ(trained().leaf.shape().mismatch(shape), "");
 }
 
 TEST(PolicyShape, EachSkewedBoardDiffersFirstOnItsOwnAxis) {
