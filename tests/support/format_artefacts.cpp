@@ -5,10 +5,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
+#include "common/serial.hpp"
 #include "fleet/driver.hpp"
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
+#include "gov/merge.hpp"
 #include "hw/platform.hpp"
 #include "qlib/policy.hpp"
 #include "sim/checkpoint.hpp"
@@ -137,6 +140,48 @@ std::vector<Artefact> build_summaries() {
   return {{"shard", read_file(opts.summary_path)}};
 }
 
+std::string saved_state(const gov::Governor& governor) {
+  std::ostringstream out(std::ios::binary);
+  governor.save_state(out);
+  return out.str();
+}
+
+/// The state of governor \p name after 150 frames of mpeg4 at 25 fps.
+std::string trained_state(const std::string& name, std::uint64_t seed) {
+  const auto platform = hw::Platform::odroid_xu3_a15();
+  sim::ExperimentSpec spec;
+  spec.workload = "mpeg4";
+  spec.fps = 25.0;
+  spec.frames = 150;
+  spec.seed = seed + 100;
+  const wl::Application app = sim::make_application(spec, *platform);
+  const auto governor = sim::make_governor(name, seed);
+  (void)sim::run_simulation(*platform, app, *governor);
+  return saved_state(*governor);
+}
+
+std::vector<Artefact> build_mergers() {
+  std::vector<Artefact> out;
+  for (const std::string& name : sim::governor_names()) {
+    const auto governor = sim::make_governor(name);
+    if (governor->make_state_merger() == nullptr) continue;
+    const std::string untrained = saved_state(*governor);
+    const std::string a = trained_state(name, 1);
+    const std::string b = trained_state(name, 2);
+    std::ostringstream bytes(std::ios::binary);
+    common::StateWriter w(bytes);
+    for (const auto& fold : std::vector<std::vector<std::string>>{
+             {a, b}, {untrained, a}, {untrained}}) {
+      const auto merger = governor->make_state_merger();
+      for (const std::string& payload : fold) merger->add_state(payload);
+      w.blob(merger->accumulator());
+      w.blob(merger->extract_state());
+    }
+    out.push_back({name, bytes.str()});
+  }
+  return out;
+}
+
 }  // namespace
 
 const std::vector<Artefact>& checkpoint_artefacts() {
@@ -151,6 +196,11 @@ const std::vector<Artefact>& policy_artefacts() {
 
 const std::vector<Artefact>& summary_artefacts() {
   static const std::vector<Artefact> artefacts = build_summaries();
+  return artefacts;
+}
+
+const std::vector<Artefact>& merger_artefacts() {
+  static const std::vector<Artefact> artefacts = build_mergers();
   return artefacts;
 }
 

@@ -4,8 +4,9 @@
 /// The format goldens pin these bytes, and the corruption grid and the
 /// mutation fuzz start from them: one `.ckpt` per registered governor (a
 /// 200-frame streaming h264 run, snapshot after frame kCheckpointFrame), a
-/// leaf, a merged and a fleet-merged `.qpol`, and the `.fsum` of a 2-cell
-/// shard that carries policy records. Each set is built once per process.
+/// leaf, a merged and a fleet-merged `.qpol`, the `.fsum` of a 2-cell
+/// shard that carries policy records, and the output of every registered
+/// governor's state merger. Each set is built once per process.
 #pragma once
 
 #include <string>
@@ -29,6 +30,11 @@ inline constexpr std::size_t kCheckpointFrame = 120;
 [[nodiscard]] const std::vector<Artefact>& policy_artefacts();
 /// \brief The 2-cell shard summary ("shard").
 [[nodiscard]] const std::vector<Artefact>& summary_artefacts();
+/// \brief One entry per registered governor with a state merger, named by
+///        the governor: the accumulator() and extract_state() bytes of two
+///        trained payloads (different seeds) folded together, of an
+///        untrained and a trained payload, and of an untrained one alone.
+[[nodiscard]] const std::vector<Artefact>& merger_artefacts();
 
 /// \brief Whole-file read (empty when the file cannot be opened).
 [[nodiscard]] std::string read_file(const std::string& path);

@@ -85,6 +85,19 @@ const std::map<std::string, std::uint64_t> kSummaryGoldens = {
     {"shard", 0x3124491256b4c6c5},
 };
 
+// Captured from the per-governor merge layouts that re-parsed the payload
+// bytes, before the mergers read through load_state(); keyed by governor.
+const std::map<std::string, std::uint64_t> kMergerGoldens = {
+    {"mcdvfs", 0x3ea7c05192dbc4a0},
+    {"rtm", 0x66c308e65c6b2664},
+    {"rtm-manycore", 0xe6f050629c43f0d1},
+    {"rtm-manycore-normalized", 0x404cfe4850451b2e},
+    {"rtm-thermal", 0xa3dd851dd153f0bf},
+    {"rtm-upd", 0x2d97beed13d03ad8},
+    {"shen-rl", 0x7bae7a1c6965d9c7},
+    {"thermal-cap", 0xa3dd851dd153f0bf},
+};
+
 TEST(FormatGolden, CheckpointPerGovernorDigestMatches) {
   expect_goldens(checkpoint_artefacts(), kCheckpointGoldens, ".ckpt");
   // The samples really are the mid-run snapshot, not the run-end one.
@@ -98,6 +111,10 @@ TEST(FormatGolden, CheckpointPerGovernorDigestMatches) {
 
 TEST(FormatGolden, PolicyLeafAndMergedDigestMatches) {
   expect_goldens(policy_artefacts(), kPolicyGoldens, ".qpol");
+}
+
+TEST(FormatGolden, StateMergerPerGovernorDigestMatches) {
+  expect_goldens(merger_artefacts(), kMergerGoldens, " merger");
 }
 
 TEST(FormatGolden, ShardSummaryDigestMatches) {
