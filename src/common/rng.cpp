@@ -78,4 +78,12 @@ void require_exploration_rate(const char* owner, const char* key,
   }
 }
 
+void require_unit_interval(const char* owner, const char* key, double value) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw std::invalid_argument(std::string(owner) + ": " + key +
+                                " must be finite and in [0, 1] (got " +
+                                std::to_string(value) + ")");
+  }
+}
+
 }  // namespace prime::common

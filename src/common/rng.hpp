@@ -142,4 +142,10 @@ class Rng {
 void require_exploration_rate(const char* owner, const char* key,
                               double value);
 
+/// \brief Throws std::invalid_argument naming \p owner and the spec \p key
+///        unless \p value is finite and in [0, 1] (so -0.0 passes). For the
+///        learning hyper-parameters of the tabular learners: the Q-update
+///        rate `alpha`, its `discount` and the per-epoch epsilon `decay`.
+void require_unit_interval(const char* owner, const char* key, double value);
+
 }  // namespace prime::common

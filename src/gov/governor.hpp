@@ -184,9 +184,11 @@ class Governor {
 
   /// \brief A fresh merge accumulator for this governor's save_state()
   ///        payloads (gov/merge.hpp), the primitive behind the warm-start
-  ///        policy library's visit-weighted fleet merge. The merger is bound
-  ///        to this governor's *configuration* — only payloads saved by
-  ///        identically constructed governors may be folded in. Governors
+  ///        policy library's visit-weighted fleet merge. The merger reads
+  ///        each payload through load_state() on a scratch governor of this
+  ///        governor's *configuration*, so only payloads saved by identically
+  ///        constructed governors fold in; a learner exposes its mergeable
+  ///        cells as a gov::MergeView (gov::MergeableState). Governors
   ///        without mergeable learning state return nullptr (the default),
   ///        which callers treat as "not publishable, skip". Defined
   ///        out-of-line (gov/merge.cpp) where StateMerger is complete.

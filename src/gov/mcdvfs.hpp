@@ -20,6 +20,8 @@
 
 #include "common/rng.hpp"
 #include "gov/governor.hpp"
+#include "gov/merge.hpp"
+#include "rtm/qtable.hpp"
 
 namespace prime::gov {
 
@@ -43,7 +45,9 @@ struct McdvfsParams {
 };
 
 /// \brief Per-core-table Q-learning governor.
-class MulticoreDvfsGovernor final : public Governor, public Learner {
+class MulticoreDvfsGovernor final : public Governor,
+                                    public Learner,
+                                    public MergeableState {
  public:
   /// \brief Construct with the given tunables.
   explicit MulticoreDvfsGovernor(const McdvfsParams& params = {});
@@ -62,6 +66,8 @@ class MulticoreDvfsGovernor final : public Governor, public Learner {
   ///        policy library).
   [[nodiscard]] std::unique_ptr<StateMerger> make_state_merger()
       const override;
+  [[nodiscard]] MergeView merge_view() const override;
+  void set_merged(const MergeView& merged) override;
 
   /// \brief Learner interface: number of epochs in which at least one core
   ///        explored.
@@ -80,7 +86,7 @@ class MulticoreDvfsGovernor final : public Governor, public Learner {
 
  private:
   struct CoreAgent {
-    std::vector<double> q;            // util_levels x actions, row-major
+    rtm::QTable q;                    // util_levels x actions
     std::size_t last_state = 0;
     std::size_t last_action = 0;
     bool has_last = false;
@@ -88,9 +94,6 @@ class MulticoreDvfsGovernor final : public Governor, public Learner {
 
   void ensure_initialised(const DecisionContext& ctx);
   [[nodiscard]] std::size_t state_of(double utilisation) const noexcept;
-  [[nodiscard]] double& q_at(CoreAgent& a, std::size_t s, std::size_t act);
-  [[nodiscard]] std::size_t argmax_action(const CoreAgent& a,
-                                          std::size_t s) const;
 
   McdvfsParams params_;
   common::Rng rng_;

@@ -16,11 +16,17 @@ namespace {
 /// order-invariant champion carry for everything else (see merge.hpp).
 class WeightedStateMerger final : public StateMerger {
  public:
-  explicit WeightedStateMerger(std::unique_ptr<MergeTraits> traits)
-      : traits_(std::move(traits)) {}
+  WeightedStateMerger(std::string tag, std::unique_ptr<Governor> scratch)
+      : tag_(std::move(tag)), scratch_(std::move(scratch)),
+        view_(dynamic_cast<MergeableState*>(scratch_.get())) {
+    if (view_ == nullptr) {
+      throw std::logic_error("state merge: '" + tag_ +
+                             "' scratch governor has no merge view");
+    }
+  }
 
   void add_state(const std::string& payload) override {
-    ParsedState p = traits_->parse(payload);
+    const MergeView p = load(payload);
     try {
       fold_data(p);
     } catch (const std::overflow_error& e) {
@@ -46,7 +52,7 @@ class WeightedStateMerger final : public StateMerger {
   [[nodiscard]] std::string accumulator() const override {
     std::ostringstream out(std::ios::binary);
     common::StateWriter w(out);
-    w.str(traits_->name());
+    w.str(tag_);
     w.u64(sources_);
     w.u64(weight_);
     w.boolean(has_data_);
@@ -81,7 +87,7 @@ class WeightedStateMerger final : public StateMerger {
                       ? 0.0
                       : wq_[i].value() / static_cast<double>(wsum_[i]);
     }
-    const ParsedState champ = traits_->parse(champion_);
+    const MergeView champ = load(champion_);
     // Sources and accumulators were checked against dims_ as they were
     // folded; a champion of another geometry means a forged accumulator.
     if (champ.dims != dims_ || champ.values.size() != wq_.size()) {
@@ -90,27 +96,11 @@ class WeightedStateMerger final : public StateMerger {
                             " does not match the merged table " +
                             describe_dims(dims_));
     }
-    const std::vector<std::string> repl =
-        traits_->replacements(champ, merged, wsum_, counters_);
-    if (repl.size() != champ.spans.size()) {
-      throw StateMergeError("state merge: traits produced " +
-                            std::to_string(repl.size()) + " replacements for " +
-                            std::to_string(champ.spans.size()) + " spans");
-    }
-    std::string out;
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < champ.spans.size(); ++i) {
-      const auto [begin, end] = champ.spans[i];
-      if (begin < cursor || end < begin || end > champion_.size()) {
-        throw StateMergeError("state merge: champion spans are not ascending "
-                              "within the payload");
-      }
-      out.append(champion_, cursor, begin - cursor);
-      out.append(repl[i]);
-      cursor = end;
-    }
-    out.append(champion_, cursor, champion_.size() - cursor);
-    return out;
+    view_->set_merged({true, dims_, std::move(merged), wsum_, weight_,
+                       counters_});
+    std::ostringstream bytes(std::ios::binary);
+    scratch_->save_state(bytes);
+    return bytes.str();
   }
 
   [[nodiscard]] std::uint64_t weight() const noexcept override {
@@ -137,16 +127,27 @@ class WeightedStateMerger final : public StateMerger {
     }
   }
 
+  /// Load \p payload into the scratch governor and read its merge view.
+  MergeView load(const std::string& payload) const {
+    std::istringstream in(payload, std::ios::binary);
+    try {
+      scratch_->load_state(in);
+    } catch (const common::SerialError& e) {
+      throw StateMergeError("state merge: unreadable '" + tag_ +
+                            "' payload: " + e.what());
+    }
+    return view_->merge_view();
+  }
+
   /// Parse the whole accumulator first and fold it only once it is known
   /// to be well-formed, so a rejected one leaves this merger unchanged.
   void fold_accumulator(const std::string& bytes) {
     std::istringstream in(bytes, std::ios::binary);
     common::StateReader r(in);
     const std::string tag = r.str();
-    if (tag != traits_->name()) {
+    if (tag != tag_) {
       throw StateMergeError("state merge: accumulator for '" + tag +
-                            "' folded into a '" + traits_->name() +
-                            "' merger");
+                            "' folded into a '" + tag_ + "' merger");
     }
     const std::uint64_t sources = r.u64();
     const std::uint64_t weight = r.u64();
@@ -213,7 +214,7 @@ class WeightedStateMerger final : public StateMerger {
     weight_ += weight;
   }
 
-  void fold_data(const ParsedState& p) {
+  void fold_data(const MergeView& p) {
     if (!p.has_data) return;
     if (p.values.size() != p.cell_weights.size()) {
       throw StateMergeError("state merge: parsed values/weights size skew");
@@ -278,7 +279,11 @@ class WeightedStateMerger final : public StateMerger {
     }
   }
 
-  std::unique_ptr<MergeTraits> traits_;
+  std::string tag_;
+  // Loaded by every add_state() and extract_state(); the merged state lives
+  // in the members below, never in the scratch governor.
+  std::unique_ptr<Governor> scratch_;
+  MergeableState* view_;
   bool has_data_ = false;
   std::vector<std::uint64_t> dims_;
   std::vector<common::ExactSum> wq_;   ///< Per-cell Σ weight·value (exact).
@@ -295,8 +300,9 @@ class WeightedStateMerger final : public StateMerger {
 }  // namespace
 
 std::unique_ptr<StateMerger> make_weighted_merger(
-    std::unique_ptr<MergeTraits> traits) {
-  return std::make_unique<WeightedStateMerger>(std::move(traits));
+    std::string tag, std::unique_ptr<Governor> scratch) {
+  return std::make_unique<WeightedStateMerger>(std::move(tag),
+                                               std::move(scratch));
 }
 
 std::string describe_dims(const std::vector<std::uint64_t>& dims) {

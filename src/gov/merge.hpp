@@ -20,20 +20,29 @@
 ///     state-space/action-space skew of differently configured governors)
 ///     throws StateMergeError; nothing partial is ever extracted.
 ///
-/// Governors opt in via `Governor::make_state_merger()`, implemented with the
-/// `MergeTraits`/`make_weighted_merger` helpers below so each governor only
-/// describes its payload layout, not the merge algebra.
+/// One merge path serves every learner. The merger holds a scratch governor
+/// of its own configuration (the many-core variants' scratch is many-core,
+/// so it reads their appended state too) and reads each payload by running
+/// its `load_state()`; the payload layout lives only in the governor's own
+/// `load_state()`/`save_state()`. From the loaded governor it takes a
+/// `MergeView` (table geometry, cell values, per-cell weights, the payload's
+/// training weight, summed counters). To extract, it loads the champion,
+/// writes the merged cells back with `MergeableState::set_merged()` and
+/// returns the governor's `save_state()`, so every champion byte outside
+/// the merged cells is carried verbatim. Governors opt in via
+/// `Governor::make_state_merger()`, returning `make_weighted_merger()` over a
+/// scratch copy that implements `MergeableState`.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace prime::gov {
+
+class Governor;
 
 /// \brief Error thrown on incompatible or corrupt merge inputs.
 class StateMergeError : public std::runtime_error {
@@ -60,7 +69,7 @@ class StateMerger {
   [[nodiscard]] virtual std::string accumulator() const = 0;
 
   /// \brief Materialise a load_state() payload from the accumulated state:
-  ///        weight-averaged table cells spliced into the champion's payload.
+  ///        weight-averaged table cells written into the champion's state.
   ///        Throws StateMergeError when nothing has been folded in.
   [[nodiscard]] virtual std::string extract_state() const = 0;
 
@@ -71,9 +80,9 @@ class StateMerger {
   [[nodiscard]] virtual std::uint64_t sources() const noexcept = 0;
 };
 
-/// \brief A governor payload decomposed for merging (see MergeTraits).
-struct ParsedState {
-  /// True when the payload carries a trained table (a fresh governor that
+/// \brief The mergeable part of a loaded learner state.
+struct MergeView {
+  /// True when the state carries a trained table (a fresh governor that
   /// never decided has no mergeable data and only competes as a champion of
   /// last resort).
   bool has_data = false;
@@ -81,43 +90,34 @@ struct ParsedState {
   std::vector<std::uint64_t> dims;
   /// All mergeable cells, concatenated in payload order.
   std::vector<double> values;
-  /// Per-cell merge weight (per-cell visit counts, or the payload's scalar
+  /// Per-cell merge weight (per-cell visit counts, or the state's scalar
   /// training weight replicated). Same size as values.
   std::vector<std::uint64_t> cell_weights;
-  /// Scalar training weight of this payload (champion order + provenance).
+  /// Scalar training weight of this state (champion order + provenance).
   std::uint64_t weight = 0;
   /// Integer counters summed across sources (e.g. total table updates).
   std::vector<std::uint64_t> counters;
-  /// Byte ranges of the payload that extract_state() replaces with merged
-  /// data, ascending and non-overlapping.
-  std::vector<std::pair<std::size_t, std::size_t>> spans;
 };
 
-/// \brief Governor-specific payload layout for the generic weighted merger.
-class MergeTraits {
+/// \brief A governor whose learning state the weighted merger folds.
+class MergeableState {
  public:
-  virtual ~MergeTraits() = default;
-
-  /// \brief Accumulator type tag; folding accumulators with a different tag
-  ///        throws (a governor-family identity check, not a security check).
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// \brief Decompose one save_state() payload. Throws StateMergeError (or
-  ///        common::SerialError) on malformed bytes.
-  [[nodiscard]] virtual ParsedState parse(const std::string& payload) const = 0;
-
-  /// \brief Serialised replacement bytes for each span of the champion's
-  ///        payload, given the merged cells — one string per champion span,
-  ///        same order.
-  [[nodiscard]] virtual std::vector<std::string> replacements(
-      const ParsedState& champion, const std::vector<double>& merged_values,
-      const std::vector<std::uint64_t>& merged_cell_weights,
-      const std::vector<std::uint64_t>& merged_counters) const = 0;
+  virtual ~MergeableState() = default;
+  /// \brief The mergeable cells of the state last loaded or learned.
+  [[nodiscard]] virtual MergeView merge_view() const = 0;
+  /// \brief Overwrite those cells with merged ones. \p merged has this
+  ///        state's geometry: averaged values, summed cell weights and
+  ///        summed counters.
+  virtual void set_merged(const MergeView& merged) = 0;
 };
 
-/// \brief The generic visit-weighted merger over a payload layout.
+/// \brief The generic visit-weighted merger. \p tag names the accumulator
+///        family: folding an accumulator with another tag throws (a
+///        governor-family identity check, not a security check). \p scratch
+///        is a governor of the merging configuration and must implement
+///        MergeableState; the merger loads every payload into it.
 [[nodiscard]] std::unique_ptr<StateMerger> make_weighted_merger(
-    std::unique_ptr<MergeTraits> traits);
+    std::string tag, std::unique_ptr<Governor> scratch);
 
 /// \brief Render table geometry for mismatch errors ("74x19").
 [[nodiscard]] std::string describe_dims(const std::vector<std::uint64_t>& dims);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "common/serial.hpp"
 #include "gov/merge.hpp"
@@ -14,15 +13,17 @@ ShenRlGovernor::ShenRlGovernor(const ShenRlParams& params)
     : params_(params), rng_(params.seed), epsilon_(params.epsilon0) {
   common::require_exploration_rate("shen-rl", "epsilon0", params.epsilon0);
   common::require_exploration_rate("shen-rl", "eps-min", params.epsilon_min);
+  common::require_unit_interval("shen-rl", "alpha", params.learning_rate);
+  common::require_unit_interval("shen-rl", "discount", params.discount);
+  common::require_unit_interval("shen-rl", "decay", params.epsilon_decay);
 }
 
 void ShenRlGovernor::ensure_initialised(const DecisionContext& ctx) {
-  const std::size_t wanted_states =
-      params_.workload_levels * params_.slack_levels;
-  if (actions_ == ctx.opps->size() && states_ == wanted_states) return;
-  actions_ = ctx.opps->size();
-  states_ = wanted_states;
-  q_.assign(states_ * actions_, 0.0);
+  const std::size_t states = params_.workload_levels * params_.slack_levels;
+  if (q_ && q_->actions() == ctx.opps->size() && q_->states() == states) {
+    return;
+  }
+  q_.emplace(states, ctx.opps->size());
   // The pending (state, action) indexed the table just replaced.
   has_last_ = false;
 }
@@ -41,23 +42,12 @@ std::size_t ShenRlGovernor::state_of(common::Cycles cycles,
   return w * params_.slack_levels + l;
 }
 
-std::size_t ShenRlGovernor::argmax_action(std::size_t s) const {
-  std::size_t best = 0;
-  double best_q = q_[s * actions_];
-  for (std::size_t a = 1; a < actions_; ++a) {
-    if (q_[s * actions_ + a] > best_q) {
-      best_q = q_[s * actions_ + a];
-      best = a;
-    }
-  }
-  return best;
-}
-
 std::size_t ShenRlGovernor::decide(const DecisionContext& ctx,
                                    const std::optional<EpochObservation>& last) {
   ensure_initialised(ctx);
 
-  std::size_t state = states_ - 1;  // pessimistic start: heavy workload
+  std::size_t state = q_->states() - 1;  // pessimistic start: heavy load
+  std::optional<std::size_t> greedy;
   if (last) {
     max_cycles_seen_ =
         std::max(max_cycles_seen_, static_cast<double>(last->total_cycles));
@@ -74,13 +64,9 @@ std::size_t ShenRlGovernor::decide(const DecisionContext& ctx,
           last->deadline_met ? 0.0 : -last->slack_ratio();  // positive amount
       const double reward = -params_.power_weight * pnorm -
                             params_.violation_weight * violation;
-      double best_next = q_[state * actions_];
-      for (std::size_t a = 1; a < actions_; ++a) {
-        best_next = std::max(best_next, q_[state * actions_ + a]);
-      }
-      double& q = q_[last_state_ * actions_ + last_action_];
-      q = (1.0 - params_.learning_rate) * q +
-          params_.learning_rate * (reward + params_.discount * best_next);
+      greedy = q_->update_and_best_action(last_state_, last_action_, reward,
+                                          state, params_.learning_rate,
+                                          params_.discount);
     }
   }
 
@@ -89,10 +75,10 @@ std::size_t ShenRlGovernor::decide(const DecisionContext& ctx,
     // UPD: uniform draw over the whole action space — the exploration policy
     // the paper's EPD (eq. 2) improves upon.
     action = static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(actions_) - 1));
+        rng_.uniform_int(0, static_cast<std::int64_t>(q_->actions()) - 1));
     ++explorations_;
   } else {
-    action = argmax_action(state);
+    action = greedy ? *greedy : q_->best_action(state);
   }
   ++epoch_;
   epsilon_ *= params_.epsilon_decay;
@@ -108,9 +94,7 @@ std::size_t ShenRlGovernor::decide(const DecisionContext& ctx,
 }
 
 void ShenRlGovernor::reset() {
-  q_.clear();
-  actions_ = 0;
-  states_ = 0;
+  q_.reset();
   epsilon_ = params_.epsilon0;
   epoch_ = 0;
   convergence_epoch_ = 0;
@@ -123,9 +107,9 @@ void ShenRlGovernor::reset() {
 void ShenRlGovernor::save_state(std::ostream& out) const {
   common::StateWriter w(out);
   rng_.save_state(w);
-  w.size(states_);
-  w.size(actions_);
-  w.vec_f64(q_);
+  w.size(q_ ? q_->states() : 0);
+  w.size(q_ ? q_->actions() : 0);
+  w.vec_f64(q_ ? q_->values() : std::vector<double>{});
   w.f64(epsilon_);
   w.size(epoch_);
   w.size(convergence_epoch_);
@@ -139,15 +123,20 @@ void ShenRlGovernor::save_state(std::ostream& out) const {
 void ShenRlGovernor::load_state(std::istream& in) {
   common::StateReader r(in);
   rng_.load_state(r);
-  states_ = r.size();
-  actions_ = r.size();
-  q_ = r.vec_f64();
-  if (q_.size() != common::checked_cells(states_, actions_, "shen-rl state")) {
+  const std::size_t states = r.size();
+  const std::size_t actions = r.size();
+  std::vector<double> q = r.vec_f64();
+  if (q.size() != common::checked_cells(states, actions, "shen-rl state")) {
     throw common::SerialError("shen-rl state: Q-table size " +
-                              std::to_string(q_.size()) +
+                              std::to_string(q.size()) +
                               " does not match dimensions " +
-                              std::to_string(states_) + "x" +
-                              std::to_string(actions_));
+                              std::to_string(states) + "x" +
+                              std::to_string(actions));
+  }
+  q_.reset();
+  if (!q.empty()) {
+    q_.emplace(states, actions);
+    q_->set_values(std::move(q));
   }
   epsilon_ = r.f64();
   epoch_ = r.size();
@@ -163,7 +152,8 @@ void ShenRlGovernor::load_state(std::istream& in) {
     throw common::SerialError("shen-rl state: workload normaliser " +
                               std::to_string(max_cycles_seen_) + " below 1");
   }
-  if (has_last_ && (last_state_ >= states_ || last_action_ >= actions_)) {
+  if (has_last_ && (!q_ || last_state_ >= q_->states() ||
+                    last_action_ >= q_->actions())) {
     throw common::SerialError("shen-rl state: pending state/action " +
                               std::to_string(last_state_) + "/" +
                               std::to_string(last_action_) +
@@ -171,73 +161,31 @@ void ShenRlGovernor::load_state(std::istream& in) {
   }
 }
 
-namespace {
-
-/// Merge layout of shen-rl: the flat Q vector is the mergeable core. The
-/// governor keeps no per-cell visit counters, so every cell of a payload
-/// merges at the payload's total epoch count; the epsilon schedule, RNG and
-/// bookkeeping ride along verbatim from the champion.
-class ShenRlMergeTraits final : public MergeTraits {
- public:
-  [[nodiscard]] std::string name() const override { return "shen-rl-q"; }
-
-  [[nodiscard]] ParsedState parse(const std::string& payload) const override {
-    std::istringstream in(payload, std::ios::binary);
-    common::StateReader r(in);
-    ParsedState p;
-    try {
-      common::Rng rng;
-      rng.load_state(r);
-      const std::size_t states = r.size();
-      const std::size_t actions = r.size();
-      const auto begin = static_cast<std::size_t>(in.tellg());
-      const std::vector<double> q = r.vec_f64();
-      const auto end = static_cast<std::size_t>(in.tellg());
-      if (q.size() != common::checked_cells(states, actions, "Q table")) {
-        throw StateMergeError("shen-rl state parse: Q size " +
-                              std::to_string(q.size()) +
-                              " does not match dimensions " +
-                              std::to_string(states) + "x" +
-                              std::to_string(actions));
-      }
-      (void)r.f64();  // epsilon_
-      const std::size_t epoch = r.size();
-      if (states == 0 || actions == 0) return p;  // untrained: champion only
-      p.has_data = true;
-      p.dims = {states, actions};
-      p.values = q;
-      p.cell_weights.assign(q.size(), epoch);
-      p.weight = epoch;
-      p.spans = {{begin, end}};
-    } catch (const common::SerialError& e) {
-      throw StateMergeError(std::string("shen-rl state parse: ") + e.what());
-    }
-    return p;
-  }
-
-  [[nodiscard]] std::vector<std::string> replacements(
-      const ParsedState& champion, const std::vector<double>& merged_values,
-      const std::vector<std::uint64_t>& /*merged_cell_weights*/,
-      const std::vector<std::uint64_t>& /*merged_counters*/) const override {
-    if (champion.spans.empty()) return {};
-    std::ostringstream out(std::ios::binary);
-    common::StateWriter w(out);
-    w.vec_f64(merged_values);
-    return {out.str()};
-  }
-};
-
-}  // namespace
-
 std::unique_ptr<StateMerger> ShenRlGovernor::make_state_merger() const {
-  return make_weighted_merger(std::make_unique<ShenRlMergeTraits>());
+  return make_weighted_merger("shen-rl-q",
+                              std::make_unique<ShenRlGovernor>(params_));
+}
+
+// No per-cell visit counters here: every cell of a state merges at the
+// state's epoch count. The epsilon schedule, RNG and bookkeeping ride along
+// with the champion.
+MergeView ShenRlGovernor::merge_view() const {
+  MergeView view;
+  if (!q_) return view;  // untrained: champion only
+  view.has_data = true;
+  view.dims = {q_->states(), q_->actions()};
+  view.values = q_->values();
+  view.cell_weights.assign(view.values.size(), epoch_);
+  view.weight = epoch_;
+  return view;
+}
+
+void ShenRlGovernor::set_merged(const MergeView& merged) {
+  q_->set_values(merged.values);
 }
 
 std::vector<std::size_t> ShenRlGovernor::greedy_policy() const {
-  std::vector<std::size_t> policy;
-  policy.reserve(states_);
-  for (std::size_t s = 0; s < states_; ++s) policy.push_back(argmax_action(s));
-  return policy;
+  return q_ ? q_->greedy_policy() : std::vector<std::size_t>{};
 }
 
 namespace {

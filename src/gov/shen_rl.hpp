@@ -15,10 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "gov/governor.hpp"
+#include "gov/merge.hpp"
+#include "rtm/qtable.hpp"
 
 namespace prime::gov {
 
@@ -38,7 +41,9 @@ struct ShenRlParams {
 };
 
 /// \brief Cluster-level UPD epsilon-greedy Q-learning governor.
-class ShenRlGovernor final : public Governor, public Learner {
+class ShenRlGovernor final : public Governor,
+                             public Learner,
+                             public MergeableState {
  public:
   /// \brief Construct with the given tunables.
   explicit ShenRlGovernor(const ShenRlParams& params = {});
@@ -59,6 +64,8 @@ class ShenRlGovernor final : public Governor, public Learner {
   ///        its total epoch count.
   [[nodiscard]] std::unique_ptr<StateMerger> make_state_merger()
       const override;
+  [[nodiscard]] MergeView merge_view() const override;
+  void set_merged(const MergeView& merged) override;
 
   /// \brief Number of epochs decided by the uniform-random (exploration) arm.
   [[nodiscard]] std::size_t exploration_count() const noexcept override {
@@ -77,13 +84,10 @@ class ShenRlGovernor final : public Governor, public Learner {
   void ensure_initialised(const DecisionContext& ctx);
   [[nodiscard]] std::size_t state_of(common::Cycles cycles,
                                      double slack) const noexcept;
-  [[nodiscard]] std::size_t argmax_action(std::size_t s) const;
 
   ShenRlParams params_;
   common::Rng rng_;
-  std::vector<double> q_;       // states x actions
-  std::size_t actions_ = 0;
-  std::size_t states_ = 0;
+  std::optional<rtm::QTable> q_;  // none until the first decide()
   double epsilon_;
   std::size_t epoch_ = 0;
   std::size_t convergence_epoch_ = 0;

@@ -82,6 +82,12 @@ void ManycoreRtmGovernor::load_state(std::istream& in) {
   learner_ = r.size();
 }
 
+std::unique_ptr<gov::StateMerger> ManycoreRtmGovernor::make_state_merger()
+    const {
+  return gov::make_weighted_merger(
+      kMergeTag, std::make_unique<ManycoreRtmGovernor>(mc_params_));
+}
+
 namespace {
 
 ManycoreRtmParams manycore_params_from_spec(const common::Spec& spec,

@@ -40,6 +40,10 @@ class ManycoreRtmGovernor final : public RtmGovernor {
   // learner cursor.
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;
+  /// \brief The RTM merger over a many-core scratch governor, which reads
+  ///        the appended state and carries it with the champion.
+  [[nodiscard]] std::unique_ptr<gov::StateMerger> make_state_merger()
+      const override;
 
   /// \brief The per-core predictors (Fig. 3-style analysis per core).
   [[nodiscard]] const std::vector<EwmaPredictor>& core_predictors() const noexcept {

@@ -2,16 +2,15 @@
 /// \brief The Q-table: the RTM's learned state-action value store.
 ///
 /// A dense |S| x |A| matrix of action values with the Bellman update of
-/// eq. (3), visit counting (used to report coverage), greedy-policy
-/// extraction (used for convergence detection in Tables II/III) and CSV
-/// persistence, mirroring how the paper's governor kept its look-up table
-/// resident in the OS.
+/// eq. (3), visit counting (used to report coverage) and greedy-policy
+/// extraction (used for convergence detection in Tables II/III). Every
+/// tabular learner keeps its values here: the RTM one shared table, the
+/// shen-rl baseline one cluster table, mcdvfs one table per core agent.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace prime::common {
@@ -24,9 +23,10 @@ namespace prime::rtm {
 /// \brief Dense state-action value table with Q-learning update.
 class QTable {
  public:
-  /// \brief Construct a zero-initialised |states| x |actions| table.
-  ///        Throws std::invalid_argument when either dimension is zero.
-  QTable(std::size_t states, std::size_t actions);
+  /// \brief Construct a |states| x |actions| table whose every cell holds
+  ///        \p initial (reset() restores it). Throws std::invalid_argument
+  ///        when either dimension is zero.
+  QTable(std::size_t states, std::size_t actions, double initial = 0.0);
 
   /// \brief Number of states |S|.
   [[nodiscard]] std::size_t states() const noexcept { return states_; }
@@ -37,6 +37,13 @@ class QTable {
   [[nodiscard]] double q(std::size_t s, std::size_t a) const;
   /// \brief Directly set Q(s, a) (tests and persistence).
   void set_q(std::size_t s, std::size_t a, double value);
+  /// \brief All values, row-major (states x actions).
+  [[nodiscard]] const std::vector<double>& values() const noexcept {
+    return q_;
+  }
+  /// \brief Replace all values, row-major. Throws std::invalid_argument
+  ///        unless \p values holds states() x actions() cells.
+  void set_values(std::vector<double> values);
 
   /// \brief Bellman update, eq. (3):
   ///        Q(s,a) <- (1-alpha) Q(s,a) + alpha (r + discount * max_a' Q(s',a')).
@@ -90,17 +97,8 @@ class QTable {
   /// \brief Total updates performed.
   [[nodiscard]] std::size_t total_updates() const noexcept { return updates_; }
 
-  /// \brief Zero all values and counters.
+  /// \brief Restore every value to the initial one and zero the counters.
   void reset();
-
-  /// \brief Serialise as CSV ("state,action,q,visits").
-  [[nodiscard]] std::string to_csv() const;
-  /// \brief Restore from to_csv() output. Throws std::runtime_error — with
-  ///        the offending row and cell — when an entry is outside this
-  ///        table's dimensions, a cell is not entirely a number, a row is
-  ///        too short, or the same (state, action) pair appears twice. On
-  ///        throw the table is unchanged (rows are staged, then committed).
-  void load_csv(const std::string& text);
 
   /// \brief Binary state serialisation (checkpoint/resume): dimensions,
   ///        bit-exact Q values, visit counters, total updates.
@@ -111,6 +109,7 @@ class QTable {
  private:
   std::size_t states_;
   std::size_t actions_;
+  double initial_;
   std::vector<double> q_;
   std::vector<std::size_t> visits_;
   std::size_t updates_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/serial.hpp"
@@ -17,6 +16,8 @@ RtmGovernor::RtmGovernor(const RtmParams& params)
       epsilon_(params.epsilon),
       slack_(params.slack_mode, params.slack_ewma_alpha),
       overhead_(params.overhead), rng_(params.seed) {
+  common::require_unit_interval("rtm", "alpha", params.learning_rate);
+  common::require_unit_interval("rtm", "discount", params.discount);
   if (params.policy == "epd") {
     policy_ = std::make_unique<EpdPolicy>(params.epd_beta);
   } else {
@@ -181,81 +182,38 @@ void RtmGovernor::load_state(std::istream& in) {
   }
 }
 
-namespace {
-
-/// Merge layout of the RTM family (rtm, rtm-upd and — via inheritance — the
-/// many-core variants): the Q-table is the mergeable core, weighted by its
-/// per-cell visit counters; everything before it (EWMA filter, workload
-/// normaliser) and after it (epsilon schedule, slack monitor, RNG, manycore
-/// extensions) rides along verbatim from the champion payload. Parsing stops
-/// at the table, so any derived governor that appends state after the base
-/// payload merges through the same traits.
-class RtmMergeTraits final : public gov::MergeTraits {
- public:
-  [[nodiscard]] std::string name() const override { return "rtm-q"; }
-
-  [[nodiscard]] gov::ParsedState parse(
-      const std::string& payload) const override {
-    std::istringstream in(payload, std::ios::binary);
-    common::StateReader r(in);
-    gov::ParsedState p;
-    try {
-      EwmaPredictor ewma;
-      ewma.load_state(r);
-      (void)r.f64();  // max_cycles_seen_ (champion-carried, not merged)
-      if (!r.boolean()) return p;  // no table yet: nothing mergeable
-      const auto begin = static_cast<std::size_t>(in.tellg());
-      QTable table(1, 1);
-      table.load_state(r);
-      const auto end = static_cast<std::size_t>(in.tellg());
-      p.has_data = true;
-      p.dims = {table.states(), table.actions()};
-      p.values.reserve(table.states() * table.actions());
-      p.cell_weights.reserve(table.states() * table.actions());
-      for (std::size_t s = 0; s < table.states(); ++s) {
-        for (std::size_t a = 0; a < table.actions(); ++a) {
-          p.values.push_back(table.q(s, a));
-          p.cell_weights.push_back(table.visits(s, a));
-        }
-      }
-      p.weight = table.total_updates();
-      p.counters = {table.total_updates()};
-      p.spans = {{begin, end}};
-    } catch (const common::SerialError& e) {
-      throw gov::StateMergeError(std::string("rtm state parse: ") + e.what());
-    }
-    return p;
-  }
-
-  [[nodiscard]] std::vector<std::string> replacements(
-      const gov::ParsedState& champion,
-      const std::vector<double>& merged_values,
-      const std::vector<std::uint64_t>& merged_cell_weights,
-      const std::vector<std::uint64_t>& merged_counters) const override {
-    if (champion.spans.empty()) return {};
-    const auto states = static_cast<std::size_t>(champion.dims.at(0));
-    const auto actions = static_cast<std::size_t>(champion.dims.at(1));
-    QTable table(states, actions);
-    std::size_t i = 0;
-    for (std::size_t s = 0; s < states; ++s) {
-      for (std::size_t a = 0; a < actions; ++a, ++i) {
-        table.set_q(s, a, merged_values.at(i));
-        table.set_visits(s, a,
-                         static_cast<std::size_t>(merged_cell_weights.at(i)));
-      }
-    }
-    table.set_total_updates(static_cast<std::size_t>(merged_counters.at(0)));
-    std::ostringstream out(std::ios::binary);
-    common::StateWriter w(out);
-    table.save_state(w);
-    return {out.str()};
-  }
-};
-
-}  // namespace
-
 std::unique_ptr<gov::StateMerger> RtmGovernor::make_state_merger() const {
-  return gov::make_weighted_merger(std::make_unique<RtmMergeTraits>());
+  return gov::make_weighted_merger(kMergeTag,
+                                   std::make_unique<RtmGovernor>(params_));
+}
+
+gov::MergeView RtmGovernor::merge_view() const {
+  gov::MergeView view;
+  if (!qtable_) return view;  // no table yet: nothing mergeable
+  view.has_data = true;
+  view.dims = {qtable_->states(), qtable_->actions()};
+  view.values = qtable_->values();
+  view.cell_weights.reserve(view.values.size());
+  for (std::size_t s = 0; s < qtable_->states(); ++s) {
+    for (std::size_t a = 0; a < qtable_->actions(); ++a) {
+      view.cell_weights.push_back(qtable_->visits(s, a));
+    }
+  }
+  view.weight = qtable_->total_updates();
+  view.counters = {qtable_->total_updates()};
+  return view;
+}
+
+void RtmGovernor::set_merged(const gov::MergeView& merged) {
+  qtable_->set_values(merged.values);
+  std::size_t i = 0;
+  for (std::size_t s = 0; s < qtable_->states(); ++s) {
+    for (std::size_t a = 0; a < qtable_->actions(); ++a, ++i) {
+      qtable_->set_visits(s, a,
+                          static_cast<std::size_t>(merged.cell_weights.at(i)));
+    }
+  }
+  qtable_->set_total_updates(static_cast<std::size_t>(merged.counters.at(0)));
 }
 
 RtmParams rtm_params_from_spec(const common::Spec& spec, std::uint64_t seed) {

@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "common/spec.hpp"
 #include "gov/governor.hpp"
+#include "gov/merge.hpp"
 #include "rtm/discretizer.hpp"
 #include "rtm/ewma.hpp"
 #include "rtm/overhead.hpp"
@@ -56,7 +57,9 @@ struct RtmParams {
                                              std::uint64_t seed);
 
 /// \brief The proposed single-cluster Q-learning governor.
-class RtmGovernor : public gov::Governor, public gov::Learner {
+class RtmGovernor : public gov::Governor,
+                    public gov::Learner,
+                    public gov::MergeableState {
  public:
   /// \brief Construct with the given tunables.
   explicit RtmGovernor(const RtmParams& params = {});
@@ -72,11 +75,13 @@ class RtmGovernor : public gov::Governor, public gov::Learner {
   void reset() override;
   void save_state(std::ostream& out) const override;
   void load_state(std::istream& in) override;
-  /// \brief Visit-weighted Q-table merger (warm-start policy library); also
-  ///        covers the many-core variants, whose extra state appends after
-  ///        the base payload and rides along with the champion.
+  /// \brief Visit-weighted Q-table merger (warm-start policy library): the
+  ///        Q values merge at their per-cell visit counts; everything else
+  ///        rides along with the champion.
   [[nodiscard]] std::unique_ptr<gov::StateMerger> make_state_merger()
       const override;
+  [[nodiscard]] gov::MergeView merge_view() const override;
+  void set_merged(const gov::MergeView& merged) override;
 
   // --- Introspection (benches, tests, convergence tracking) -----------------
 
@@ -109,6 +114,9 @@ class RtmGovernor : public gov::Governor, public gov::Learner {
   ///        overridden by the many-core RTM to apply eq. (7).
   [[nodiscard]] virtual double workload_coordinate(
       const gov::DecisionContext& ctx, const gov::EpochObservation& last);
+
+  /// \brief Accumulator tag of the RTM family's state mergers.
+  static constexpr const char* kMergeTag = "rtm-q";
 
   /// \brief Q updates performed per epoch (1 for the shared-table designs).
   [[nodiscard]] virtual std::size_t q_updates_per_epoch() const noexcept {

@@ -1,8 +1,8 @@
 /// \file test_governor_states.cpp
 /// \brief Governor state payloads fail closed: a seeded mutation fuzz one
 ///        level below the sealed `.ckpt` envelope, a grid of table
-///        dimensions whose product wraps, and the exploration parameters and
-///        level counts of the learning governors.
+///        dimensions whose product wraps, and the exploration and learning
+///        parameters and level counts of the learning governors.
 ///
 /// The fuzz starts from the `governor_state` blob of each registered
 /// governor's format-golden checkpoint (tests/support/format_artefacts).
@@ -264,8 +264,11 @@ TEST(WrappingDimensions, InRangeProductsStillLoad) {
   EXPECT_NO_THROW(load_into("mcdvfs", mcdvfs_state(3, 15)));
 }
 
-// --- Exploration parameters ----------------------------------------------------
+// --- Exploration and learning parameters ----------------------------------------
 
+// Exploration rates (epsilon0, eps-min) must be finite and >= 0; the
+// learning rates (alpha, discount, and the epsilon decay of the baselines)
+// must also be at most 1.
 using ExplorationCase = std::tuple<std::string, std::string, double>;
 
 class ExplorationParams : public testing::TestWithParam<ExplorationCase> {};
@@ -287,7 +290,8 @@ TEST_P(ExplorationParams, NonFiniteOrNegativeRatesAreRejectedByKey) {
     EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
         << spec << ": " << e.what();
   }
-  // Either zero is a valid rate: pure exploitation, or no floor.
+  // Zero is valid for every key: pure exploitation, no floor, no learning,
+  // no lookahead, or epsilon at its floor after one epoch.
   EXPECT_NO_THROW((void)sim::make_governor(spec_of(governor, key, 0.0)));
   EXPECT_NO_THROW((void)sim::make_governor(spec_of(governor, key, -0.0)));
 }
@@ -296,7 +300,8 @@ std::string exploration_name(
     const testing::TestParamInfo<ExplorationCase>& info) {
   const auto& [governor, key, value] = info.param;
   const char* value_name = value != value                ? "nan"
-                           : value > 0.0                 ? "inf"
+                           : value > 2.0                 ? "inf"
+                           : value > 0.0                 ? "one_and_half"
                            : value < -1.0                ? "neg_inf"
                                                          : "neg_half";
   std::string id = governor + "_" + key + "_" + value_name;
@@ -306,15 +311,30 @@ std::string exploration_name(
   return id;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    LearningGovernors, ExplorationParams,
-    testing::Combine(
-        testing::Values("rtm", "shen-rl", "mcdvfs"),
-        testing::Values("epsilon0", "eps-min"),
-        testing::Values(std::numeric_limits<double>::quiet_NaN(),
-                        std::numeric_limits<double>::infinity(),
-                        -std::numeric_limits<double>::infinity(), -0.5)),
-    exploration_name);
+std::vector<ExplorationCase> exploration_cases() {
+  std::vector<ExplorationCase> cases;
+  const auto add = [&](const char* governor, const char* key, bool unit) {
+    for (const double value : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               -0.5}) {
+      cases.emplace_back(governor, key, value);
+    }
+    if (unit) cases.emplace_back(governor, key, 1.5);
+  };
+  for (const char* governor : {"rtm", "shen-rl", "mcdvfs"}) {
+    add(governor, "epsilon0", false);
+    add(governor, "eps-min", false);
+    add(governor, "alpha", true);
+    add(governor, "discount", true);
+    if (std::string(governor) != "rtm") add(governor, "decay", true);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(LearningGovernors, ExplorationParams,
+                         testing::ValuesIn(exploration_cases()),
+                         exploration_name);
 
 // --- Level counts ----------------------------------------------------------------
 

@@ -7,12 +7,14 @@
 /// engine supports this via RunOptions::reset_governor = false; these tests
 /// verify that a warm-started governor (a) skips the exploration phase and
 /// (b) misses fewer deadlines early on the second application than a
-/// cold-started one. QTable CSV persistence additionally allows transfer
+/// cold-started one. The QTable's binary state additionally allows transfer
 /// across processes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 
+#include "common/serial.hpp"
 #include "gov/merge.hpp"
 #include "qlib/policy.hpp"
 #include "rtm/manycore.hpp"
@@ -137,21 +139,26 @@ TEST(LearningTransfer, QlibWarmStartBeatsColdForEveryMergeableGovernor) {
   EXPECT_GT(strictly_better, 0u);
 }
 
-TEST(LearningTransfer, QTablePersistsAcrossProcessesViaCsv) {
+TEST(LearningTransfer, QTablePersistsAcrossProcessesViaStateBytes) {
   auto platform = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_app("mpeg4", 1, *platform);
 
   rtm::ManycoreRtmGovernor trained;
   (void)run_simulation(*platform, app, trained);
   ASSERT_NE(trained.q_table(), nullptr);
-  const std::string csv = trained.q_table()->to_csv();
+  std::ostringstream out(std::ios::binary);
+  common::StateWriter w(out);
+  trained.q_table()->save_state(w);
 
-  // "New process": a fresh table restored from the serialised knowledge.
-  rtm::QTable restored(trained.q_table()->states(),
-                       trained.q_table()->actions());
-  restored.load_csv(csv);
+  // "New process": a fresh table restored from the serialised knowledge,
+  // adopting its dimensions.
+  std::istringstream in(out.str(), std::ios::binary);
+  common::StateReader r(in);
+  rtm::QTable restored(1, 1);
+  restored.load_state(r);
+  EXPECT_EQ(restored.values(), trained.q_table()->values());
   EXPECT_EQ(restored.greedy_policy(), trained.q_table()->greedy_policy());
-  EXPECT_EQ(restored.total_updates(), 0u);  // counters are fresh
+  EXPECT_EQ(restored.total_updates(), trained.q_table()->total_updates());
 }
 
 }  // namespace

@@ -124,68 +124,6 @@ TEST(QTable, ResetZeroes) {
   EXPECT_EQ(q.visited_states(), 0u);
 }
 
-TEST(QTable, CsvRoundTrip) {
-  QTable q(3, 4);
-  q.update(1, 2, 1.5, 0, 0.3, 0.5);
-  q.set_q(2, 3, -0.75);
-  const std::string csv = q.to_csv();
-  QTable back(3, 4);
-  back.load_csv(csv);
-  for (std::size_t s = 0; s < 3; ++s) {
-    for (std::size_t a = 0; a < 4; ++a) {
-      EXPECT_DOUBLE_EQ(back.q(s, a), q.q(s, a)) << s << "," << a;
-      EXPECT_EQ(back.visits(s, a), q.visits(s, a));
-    }
-  }
-}
-
-TEST(QTable, LoadCsvRejectsWrongShape) {
-  QTable small(1, 1);
-  QTable big(5, 5);
-  EXPECT_THROW(small.load_csv(big.to_csv()), std::runtime_error);
-  EXPECT_THROW(small.load_csv("foo,bar\n1,2\n"), std::runtime_error);
-}
-
-TEST(QTable, LoadCsvRejectsMalformedCells) {
-  QTable q(2, 2);
-  // strtoull/strtod with a null endptr used to read these as 0 — the corrupt
-  // row would silently overwrite entry (0, 0).
-  EXPECT_THROW(q.load_csv("state,action,q,visits\nabc,0,1.0,0\n"),
-               std::runtime_error);
-  EXPECT_THROW(q.load_csv("state,action,q,visits\n0,0,notanumber,0\n"),
-               std::runtime_error);
-  EXPECT_THROW(q.load_csv("state,action,q,visits\n0,0,1.5x,0\n"),
-               std::runtime_error);
-  EXPECT_THROW(q.load_csv("state,action,q,visits\n0,0,1.0,-3\n"),
-               std::runtime_error);
-  // A row too short for the mandatory columns names its width.
-  EXPECT_THROW(q.load_csv("state,action,q,visits\n0,0\n"),
-               std::runtime_error);
-}
-
-TEST(QTable, LoadCsvRejectsDuplicateEntries) {
-  QTable q(2, 2);
-  try {
-    q.load_csv("state,action,q,visits\n0,1,1.0,0\n0,1,2.0,0\n");
-    FAIL() << "duplicate (state, action) did not throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("(0, 1)"), std::string::npos);
-  }
-}
-
-TEST(QTable, LoadCsvFailureLeavesTableUnchanged) {
-  QTable q(2, 2);
-  q.set_q(0, 0, 7.0);
-  q.set_q(1, 1, -2.0);
-  // Row 0 is valid and targets (0, 0); row 1 is corrupt. A partial apply
-  // would clobber (0, 0) before throwing — the staged commit must not.
-  EXPECT_THROW(q.load_csv("state,action,q,visits\n0,0,99.0,0\n1,1,bad,0\n"),
-               std::runtime_error);
-  EXPECT_DOUBLE_EQ(q.q(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(q.q(1, 1), -2.0);
-}
-
 /// Property: the Bellman update is a contraction: Q values remain bounded by
 /// r_max / (1 - discount) for bounded rewards.
 class QTableContraction : public ::testing::TestWithParam<double> {};
