@@ -30,9 +30,9 @@ void MulticoreDvfsGovernor::ensure_initialised(const DecisionContext& ctx) {
     return;
   }
   actions_ = ctx.opps->size();
-  agents_.assign(ctx.cores, CoreAgent{rtm::QTable(
-                                params_.util_levels, actions_,
-                                params_.optimistic_q0)});
+  agents_.assign(ctx.cores,
+                 CoreAgent{rtm::QTable(params_.util_levels, actions_,
+                                       params_.optimistic_q0)});
 }
 
 std::size_t MulticoreDvfsGovernor::state_of(double utilisation) const noexcept {
@@ -193,9 +193,7 @@ std::unique_ptr<StateMerger> MulticoreDvfsGovernor::make_state_merger() const {
       "mcdvfs-q", std::make_unique<MulticoreDvfsGovernor>(params_));
 }
 
-// Every core agent's Q values merge, weighted by the governor's epoch count
-// (no per-cell counters). The per-agent bookkeeping, the RNG and the epsilon
-// schedule ride along with the champion.
+// No per-cell counters: every core agent's cells merge at the epoch count.
 MergeView MulticoreDvfsGovernor::merge_view() const {
   MergeView view;
   if (agents_.empty()) return view;  // untrained: champion only
@@ -215,7 +213,8 @@ MergeView MulticoreDvfsGovernor::merge_view() const {
 void MulticoreDvfsGovernor::set_merged(const MergeView& merged) {
   auto cell = merged.values.begin();
   for (CoreAgent& agent : agents_) {
-    const auto end = cell + static_cast<std::ptrdiff_t>(agent.q.values().size());
+    const auto end =
+        cell + static_cast<std::ptrdiff_t>(agent.q.values().size());
     agent.q.set_values(std::vector<double>(cell, end));
     cell = end;
   }

@@ -166,9 +166,6 @@ std::unique_ptr<StateMerger> ShenRlGovernor::make_state_merger() const {
                               std::make_unique<ShenRlGovernor>(params_));
 }
 
-// No per-cell visit counters here: every cell of a state merges at the
-// state's epoch count. The epsilon schedule, RNG and bookkeeping ride along
-// with the champion.
 MergeView ShenRlGovernor::merge_view() const {
   MergeView view;
   if (!q_) return view;  // untrained: champion only
